@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
-from repro.obs.recorder import PayloadNormalizer, normalize_line
+from repro.obs.recorder import EventCodec, PayloadNormalizer
 
 #: Sentinel event-name tuple meaning "every event type" (clock checks).
 ALL_EVENTS: tuple = ("*",)
@@ -47,7 +47,7 @@ class Fact:
     Checkers read the header directly (``index``/``type``/``time``/
     ``node``), payload scalars via :meth:`get`, and cite evidence via
     :meth:`line` — which both backends render to the *same bytes* (the
-    trace line format of :func:`repro.obs.recorder.normalize_line`).
+    trace line format of :class:`repro.obs.recorder.EventCodec`).
     """
 
     __slots__ = ("index", "type", "time", "node")
@@ -62,18 +62,20 @@ class Fact:
 
 
 class EventFact(Fact):
-    """Online fact: wraps a live obs event + the monitor's normalizer."""
+    """Online fact: wraps a live obs event, its type's codec, and the
+    monitor's normalizer."""
 
-    __slots__ = ("_event", "_normalizer")
+    __slots__ = ("_event", "_normalizer", "_codec")
 
     def __init__(self, index: int, event, normalizer: PayloadNormalizer,
-                 type_name: Optional[str] = None):
+                 codec: EventCodec):
         self.index = index
-        self.type = type_name if type_name is not None else type(event).__name__
+        self.type = codec.type_name
         self.time = event.time
         self.node = event.node
         self._event = event
         self._normalizer = normalizer
+        self._codec = codec
 
     def get(self, name: str):
         """Attribute access on the live event."""
@@ -81,7 +83,7 @@ class EventFact(Fact):
 
     def line(self) -> str:
         """Render with the monitor's normalizer (ids already rebased)."""
-        return normalize_line(self._event, self._normalizer)
+        return self._codec.line(self._event, self._normalizer)
 
 
 class TraceFact(Fact):

@@ -26,7 +26,7 @@ from repro.contracts.dsl import CheckerBank, ContractSet, EventFact
 from repro.contracts.report import ContractReport, ContractViolation
 from repro.obs import events as ev
 from repro.obs.bus import Bus
-from repro.obs.recorder import PayloadNormalizer, _all_event_types
+from repro.obs.recorder import PayloadNormalizer, _all_event_types, codec_for
 
 #: Recorded event types that carry a live packet payload needing eager
 #: id rebasing (first-seen order must match the trace writer's).
@@ -65,7 +65,7 @@ class ContractMonitor:
         # type, so the type name and the packet-rebase test are decided
         # once here instead of per delivered event (the E19 hot path).
         self._handlers = {
-            event_type: self._make_handler(event_type.__name__)
+            event_type: self._make_handler(codec_for(event_type))
             for event_type in _all_event_types()
         }
         for event_type, handler in self._handlers.items():
@@ -79,10 +79,11 @@ class ContractMonitor:
 
     # ------------------------------------------------------------------
 
-    def _make_handler(self, type_name: str):
+    def _make_handler(self, codec):
         # The handler captures the bank's fused fold list for its type —
         # the same list feed() would look up — so the per-event work is
         # exactly: count, (maybe rebase), build the fact, run the folds.
+        type_name = codec.type_name
         states = self._bank.states_for(type_name)
         normalizer = self._normalizer
         if type_name in _PACKET_EVENTS:
@@ -96,7 +97,7 @@ class ContractMonitor:
                     # co-attached trace writer, so lazily rendered
                     # evidence lines cite the same pkt#N ids.
                     rebase(packet.packet_id)
-                fact = EventFact(index, event, normalizer, type_name)
+                fact = EventFact(index, event, normalizer, codec)
                 for state in states:
                     state.on_event(fact)
         elif not states:
@@ -109,12 +110,12 @@ class ContractMonitor:
             def handler(event: ev.Event) -> None:
                 index = self._index
                 self._index = index + 1
-                on_event(EventFact(index, event, normalizer, type_name))
+                on_event(EventFact(index, event, normalizer, codec))
         else:
             def handler(event: ev.Event) -> None:
                 index = self._index
                 self._index = index + 1
-                fact = EventFact(index, event, normalizer, type_name)
+                fact = EventFact(index, event, normalizer, codec)
                 for state in states:
                     state.on_event(fact)
         return handler

@@ -120,6 +120,18 @@ def format_process(info: ProcessInfo) -> str:
     )
 
 
+def format_all_processes(survey: dict) -> list[str]:
+    """An ``all_processes`` survey: every reachable node's ``ps`` table,
+    then one line per node that did not answer."""
+    lines = []
+    for node, infos in sorted(survey["nodes"].items()):
+        lines.append(f"node {node}:")
+        lines.extend(format_process(info) for info in infos)
+    for lost in survey["unreachable"]:
+        lines.append(f"node {lost['address']} unreachable: {lost['error']}")
+    return lines
+
+
 def format_frames(frames: list[Frame], show_node: bool = False) -> list[str]:
     """Backtrace lines (synthetic RPC-runtime frames included)."""
     lines = []
@@ -329,6 +341,12 @@ class PilgrimRepl:
         """list processes on a node"""
         for info in self.dbg.processes(args[0]):
             self.emit(format_process(info))
+
+    @_command("psall", op="all_processes")
+    def cmd_psall(self, args, force=False):
+        """list processes on every connected node"""
+        for line in format_all_processes(self.dbg.all_processes()):
+            self.emit(line)
 
     @_command("break app app 17", op="set_breakpoint")
     def cmd_break(self, args, force=False):

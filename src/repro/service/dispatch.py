@@ -24,6 +24,7 @@ from repro.debugger.api import TraceSummary
 from repro.debugger.errors import ServiceError, UnsupportedOperationError
 from repro.debugger.repl import (
     COMMANDS,
+    format_all_processes,
     format_branch,
     format_branch_diff,
     format_branches,
@@ -45,7 +46,6 @@ EXTRA_OPS: dict[str, str] = {
     "wait_for_breakpoint": "block until some breakpoint is hit",
     "wait_for_failure": "block until a process failure is reported",
     "halt_all": "halt every connected node at once",
-    "all_processes": "process tables of every connected node",
     "process_state": "registers/state of one process",
     "read_var": "read a frame variable (raw value)",
     "read_global": "read a module global",
@@ -123,11 +123,7 @@ def render_text(op: str, result: Any) -> str:
     if op in ("processes",):
         return "\n".join(format_process(info) for info in result)
     if op == "all_processes":
-        lines = []
-        for node, infos in sorted(result.items()):
-            lines.append(f"node {node}:")
-            lines.extend(format_process(info) for info in infos)
-        return "\n".join(lines)
+        return "\n".join(format_all_processes(result))
     if op in ("backtrace", "distributed_backtrace"):
         return "\n".join(
             format_frames(result, show_node=(op == "distributed_backtrace"))

@@ -443,6 +443,46 @@ def test_repl_renders_byte_identical_locally_and_remotely(daemon):
     assert local == remote
 
 
+def test_all_processes_renders_like_the_local_repl(daemon):
+    prefix = ["connect app", "break app app 4", "wait"]
+    repl = PilgrimRepl(counter_world(seed=3))
+    before = len(repl.run_script(prefix))
+    # The REPL echoes the command line first.
+    local = repl.run_script(["psall"])[before + 1:]
+    with ServiceClient(daemon) as client:
+        client.open("w1", "world", scenario="counter", seed=3)
+        session = client.session("w1")
+        session.connect("app")
+        session.set_breakpoint("app", "app", line=4)
+        session.wait_for_breakpoint()
+        survey = session.all_processes()
+        remote = client.text("all_processes", session="w1")
+    assert survey["unreachable"] == []
+    assert all(isinstance(info, ProcessInfo)
+               for infos in survey["nodes"].values() for info in infos)
+    assert local[0] == "node 0:" and len(local) > 1
+    assert remote.splitlines() == local
+
+
+def test_all_processes_text_lists_unreachable_nodes():
+    from repro.service.dispatch import render_text
+
+    cluster = Cluster(names=["app", "spare", "debugger"], seed=3)
+    image = cluster.load_program(COUNTER_PROGRAM, "app")
+    cluster.spawn_vm("app", image, "main")
+    dbg = Pilgrim(cluster, home="debugger")
+    repl = PilgrimRepl(dbg)
+    # Halted at a breakpoint, so both surveys see the same tables.
+    before = len(repl.run_script(["connect app spare", "break app app 4",
+                                  "wait"]))
+    cluster.node("spare").crash()
+    local = repl.run_script(["psall"])[before + 1:]
+    assert local[0] == "node 0:"
+    assert local[-1].startswith("node 1 unreachable: ")
+    assert render_text("all_processes", dbg.all_processes()) == \
+        "\n".join(local)
+
+
 # ----------------------------------------------------------------------
 # The CLI end to end (a real daemon process, two invocations)
 # ----------------------------------------------------------------------

@@ -6,17 +6,24 @@ small set of shrunken reproducers, found and minimized by a real
 campaign over the shipped scenarios, that CI replays on every push
 (``python -m repro.campaign corpus replay tests/corpus``).  Run this
 from the repo root when a change *intentionally* alters the simulation
-event stream (and say so in the commit message)::
+event stream or the trace encoding (and say so in the commit
+message)::
 
     PYTHONPATH=src python tools/build_corpus.py
 
 The campaign below is deterministic — fixed grid, fixed seeds, inline
-execution — so rebuilding on an unchanged tree is a no-op apart from
-file timestamps.
+execution — so rebuilding on an unchanged tree rewrites identical
+bytes.  ``--check`` builds into a temporary directory instead and exits
+1 if the file set or any file's bytes differ from the committed corpus
+(CI runs it in the ``corpus-replay`` job)::
+
+    PYTHONPATH=src python tools/build_corpus.py --check
 """
 
+import argparse
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,17 +41,17 @@ TOPOLOGIES = ["ring", "mesh"]
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "tests" / "corpus"
 
 
-def main() -> int:
+def build(corpus_dir: Path) -> int:
     """Run the fixed campaign and bank its reproducers from scratch."""
     from repro.campaign import Corpus, build_grid, get_plan, run_campaign
 
-    if CORPUS_DIR.exists():
-        shutil.rmtree(CORPUS_DIR)
+    if corpus_dir.exists():
+        shutil.rmtree(corpus_dir)
     plans = [(name, get_plan(name)) for name in PLAN_NAMES]
     cells = build_grid(SCENARIOS, SEEDS, plans, topologies=TOPOLOGIES)
     report = run_campaign(cells, workers=1, shrink=True,
-                          corpus_dir=CORPUS_DIR)
-    corpus = Corpus.open(CORPUS_DIR)
+                          corpus_dir=corpus_dir)
+    corpus = Corpus.open(corpus_dir)
     print(f"campaign: {len(report.cells)} cells, "
           f"{len(report.failed)} failed, {len(corpus)} banked")
     failures = 0
@@ -56,7 +63,44 @@ def main() -> int:
         print(f"error: {failures} fresh reproducers failed replay",
               file=sys.stderr)
         return 1
-    print(f"corpus written to {CORPUS_DIR}")
+    print(f"corpus written to {corpus_dir}")
+    return 0
+
+
+def differences(fresh: Path, committed: Path) -> list[str]:
+    """File names missing, extra, or differing between two corpora."""
+    names = {path.name for path in fresh.iterdir()}
+    if committed.is_dir():
+        names |= {path.name for path in committed.iterdir()}
+    return sorted(
+        name for name in names
+        if not ((fresh / name).is_file() and (committed / name).is_file()
+                and (fresh / name).read_bytes()
+                == (committed / name).read_bytes())
+    )
+
+
+def main(argv=None) -> int:
+    """Rebuild the corpus in place, or ``--check`` it."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="build into a temporary directory and fail "
+                             "on any byte difference")
+    args = parser.parse_args(argv)
+    if not args.check:
+        return build(CORPUS_DIR)
+    with tempfile.TemporaryDirectory() as scratch:
+        fresh = Path(scratch) / "corpus"
+        status = build(fresh)
+        if status:
+            return status
+        stale = differences(fresh, CORPUS_DIR)
+        count = len(list(fresh.iterdir()))
+    if stale:
+        print(f"error: rebuilt corpus differs from {CORPUS_DIR}: "
+              f"{', '.join(stale)}", file=sys.stderr)
+        return 1
+    print(f"ok: {count} corpus files are byte-identical")
     return 0
 
 
