@@ -11,7 +11,7 @@ measured latencies sit just above that floor.
 """
 
 from repro import Cluster, Pilgrim
-from repro.ring import RingTracer
+from repro.net import PacketTracer as RingTracer
 from benchmarks.common import print_table
 
 PROGRAM = """record point

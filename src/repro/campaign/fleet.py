@@ -151,13 +151,20 @@ def execute_cell(cell) -> dict:
     return result
 
 
-def _fleet_worker(conn) -> None:
+def _fleet_worker(conn, coordinator_ends) -> None:
     """Worker-process main loop: ask, run, answer, repeat.
 
     Every send is a synchronous pipe write (no feeder thread), so a
     message that ``send`` returned for is readable by the coordinator
     even if this process is SIGKILLed immediately afterwards.
+
+    ``coordinator_ends`` are the coordinator-side pipe ends a forked
+    worker inherits (its own and every older worker's).  They are
+    closed first: while any process holds one, ``recv`` never sees EOF,
+    and a worker would outlive a killed coordinator.
     """
+    for end in coordinator_ends:
+        end.close()
     try:
         conn.send(("ready", os.getpid()))
         while True:
@@ -244,8 +251,12 @@ class Fleet:
 
     def _spawn_worker(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
+        coordinator_ends = [parent_conn] + [
+            worker.conn for worker in self._workers.values()
+        ]
         process = self._ctx.Process(
-            target=_fleet_worker, args=(child_conn,), daemon=True
+            target=_fleet_worker, args=(child_conn, coordinator_ends),
+            daemon=True,
         )
         process.start()
         child_conn.close()  # the worker holds the only child end now

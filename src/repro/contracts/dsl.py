@@ -4,8 +4,8 @@ A :class:`Contract` names one distributed invariant.  Two flavours:
 
 * :class:`EventContract` — compiled from a pure fold over the obs event
   stream.  The *same* checker class runs behind both backends: online
-  (:class:`~repro.contracts.online.ContractMonitor`, an obs-bus
-  subscriber) and offline (:func:`~repro.contracts.offline.check_trace`,
+  (:class:`~repro.contracts.online.ContractMonitor`, a stream-tap
+  consumer) and offline (:func:`~repro.contracts.offline.check_trace`,
   a fold over a loaded trace), each feeding it backend-neutral
   :class:`Fact` views, so the two backends agree by construction.
 * :class:`ProbeContract` — an end-of-run predicate over the *probes*
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.contracts.report import ContractReport, ContractViolation
-from repro.obs.recorder import EventCodec, PayloadNormalizer
+from repro.obs.recorder import EventCodec
 
 #: Sentinel event-name tuple meaning "every event type" (clock checks).
 ALL_EVENTS: tuple = ("*",)
@@ -63,18 +63,18 @@ class Fact:
 
 class EventFact(Fact):
     """Online fact: wraps a live obs event, its type's codec, and the
-    monitor's normalizer."""
+    stream tap's packet-id map."""
 
-    __slots__ = ("_event", "_normalizer", "_codec")
+    __slots__ = ("_event", "_packet_ids", "_codec")
 
-    def __init__(self, index: int, event, normalizer: PayloadNormalizer,
+    def __init__(self, index: int, event, packet_ids: dict,
                  codec: EventCodec):
         self.index = index
         self.type = codec.type_name
         self.time = event.time
         self.node = event.node
         self._event = event
-        self._normalizer = normalizer
+        self._packet_ids = packet_ids
         self._codec = codec
 
     def get(self, name: str):
@@ -82,8 +82,8 @@ class EventFact(Fact):
         return getattr(self._event, name, None)
 
     def line(self) -> str:
-        """Render with the monitor's normalizer (ids already rebased)."""
-        return self._codec.line(self._event, self._normalizer)
+        """Render against the tap's packet ids (assigned on delivery)."""
+        return self._codec.encode(self._event, self._packet_ids)[0]
 
 
 class TraceFact(Fact):
@@ -229,7 +229,7 @@ class CheckerBank:
     One bank per checked stream: fresh checker folds, an event-name
     dispatch table honouring each contract's declared ``events`` filter,
     and the report assembly.  The online monitor drives the bank's fused
-    per-type fold lists (:meth:`states_for`) from its subscriptions;
+    per-type fold lists (:meth:`states_for`) from its tap hooks;
     :func:`~repro.contracts.offline.check_trace` feeds a loaded trace
     through :meth:`feed` — the same folds behind the same dispatch
     decision on both sides is what makes the backends provably agree.
@@ -262,7 +262,7 @@ class CheckerBank:
     def states_for(self, type_name: str) -> list:
         """The fused fold list for one event type (broad + specific,
         declaration order) — the single dispatch decision both backends
-        share.  The online monitor captures it per subscription; the
+        share.  The online monitor captures it per tap hook; the
         offline fold hits it through :meth:`feed`."""
         states = self._by_type.get(type_name)
         if states is None:

@@ -1,15 +1,15 @@
-"""The online backend: contracts as an obs-bus subscriber.
+"""The online backend: contracts as a stream-tap consumer.
 
-:class:`ContractMonitor` mirrors the trace writer's stream discipline
-exactly — it subscribes to every *recorded* event type (the
-``__all__`` catalogue), numbers events in delivery order, and rebases
-packet ids eagerly in first-seen order through its own
-:class:`~repro.obs.recorder.PayloadNormalizer` — so its event indices,
-``seq`` values, and rendered evidence lines are byte-identical to the
-:class:`~repro.replay.trace.TraceEvent` stream a co-attached writer
-would produce.  That is the whole equivalence argument: both backends
-drive the same :class:`~repro.contracts.dsl.CheckerBank` over the same
-facts.
+:class:`ContractMonitor` attaches to its bus's
+:class:`~repro.obs.recorder.StreamTap` — the one subscriber to the
+recorded event types, which numbers events in delivery order and
+rebases packet ids as they arrive — and registers one fold hook per
+event type some contract consumes.  A co-attached trace writer takes
+its events from the same tap, so the monitor's event indices, ``seq``
+values and evidence lines (rendered lazily against the tap's packet-id
+map) are the writer's :class:`~repro.replay.trace.TraceEvent` stream by
+construction.  Both backends then drive the same
+:class:`~repro.contracts.dsl.CheckerBank` over the same facts.
 
 The dormant path stays free: attaching a monitor materializes events
 (like any recorder — compare monitored runs against monitored runs),
@@ -26,13 +26,7 @@ from repro.contracts.dsl import CheckerBank, ContractSet, EventFact
 from repro.contracts.report import ContractReport, ContractViolation
 from repro.obs import events as ev
 from repro.obs.bus import Bus
-from repro.obs.recorder import PayloadNormalizer, _all_event_types, codec_for
-
-#: Recorded event types that carry a live packet payload needing eager
-#: id rebasing (first-seen order must match the trace writer's).
-_PACKET_EVENTS = frozenset(
-    {"PacketSent", "PacketDelivered", "PacketNacked", "PacketDropped"}
-)
+from repro.obs.recorder import RECORDED_TYPES, StreamTap, codec_for
 
 
 class ContractMonitor:
@@ -55,70 +49,30 @@ class ContractMonitor:
         else:
             self.name = "contracts"
             event_contracts = tuple(contracts)
-        self._normalizer = PayloadNormalizer()
-        self._index = 0
         self._bank = CheckerBank(
             event_contracts, sink=self._emit_violation if emit else None
         )
         self._report: Optional[ContractReport] = None
-        # One closure per event type: the subscription already fixes the
-        # type, so the type name and the packet-rebase test are decided
-        # once here instead of per delivered event (the E19 hot path).
-        self._handlers = {
-            event_type: self._make_handler(codec_for(event_type))
-            for event_type in _all_event_types()
-        }
-        for event_type, handler in self._handlers.items():
-            bus.subscribe(event_type, handler)
+        #: Events observed, frozen at detach (``None`` while attached).
+        self._events: Optional[int] = None
+        self._tap = StreamTap.of(bus)
+        # Types no contract consumes get no hook: the tap numbers them.
+        hooks = {}
+        for event_type in RECORDED_TYPES:
+            codec = codec_for(event_type)
+            states = self._bank.states_for(codec.type_name)
+            if states:
+                hooks[event_type] = _fold_hook(codec, states,
+                                               self._tap.packet_ids)
+        self._tap.attach(self, hooks)
 
     def detach(self) -> None:
-        """Unsubscribe from the bus (the report stays computable)."""
-        for event_type, handler in self._handlers.items():
-            self.bus.unsubscribe(event_type, handler)
-        self._handlers = {}
+        """Stop observing (the report stays computable)."""
+        if self._events is None:
+            self._events = self._tap.count
+            self._tap.detach(self)
 
     # ------------------------------------------------------------------
-
-    def _make_handler(self, codec):
-        # The handler captures the bank's fused fold list for its type —
-        # the same list feed() would look up — so the per-event work is
-        # exactly: count, (maybe rebase), build the fact, run the folds.
-        type_name = codec.type_name
-        states = self._bank.states_for(type_name)
-        normalizer = self._normalizer
-        if type_name in _PACKET_EVENTS:
-            rebase = normalizer.rebase
-            def handler(event: ev.Event) -> None:
-                index = self._index
-                self._index = index + 1
-                packet = event.packet
-                if packet is not None:
-                    # Eager rebase keeps first-seen order aligned with a
-                    # co-attached trace writer, so lazily rendered
-                    # evidence lines cite the same pkt#N ids.
-                    rebase(packet.packet_id)
-                fact = EventFact(index, event, normalizer, codec)
-                for state in states:
-                    state.on_event(fact)
-        elif not states:
-            # No contract consumes this type: count it (index parity
-            # with the trace writer) and move on — no fact built.
-            def handler(event: ev.Event) -> None:
-                self._index += 1
-        elif len(states) == 1:
-            on_event = states[0].on_event
-            def handler(event: ev.Event) -> None:
-                index = self._index
-                self._index = index + 1
-                on_event(EventFact(index, event, normalizer, codec))
-        else:
-            def handler(event: ev.Event) -> None:
-                index = self._index
-                self._index = index + 1
-                fact = EventFact(index, event, normalizer, codec)
-                for state in states:
-                    state.on_event(fact)
-        return handler
 
     def _emit_violation(self, violation: ContractViolation) -> None:
         self.bus.emit(
@@ -136,18 +90,35 @@ class ContractMonitor:
     @property
     def events(self) -> int:
         """Events observed so far."""
-        return self._index
+        return self._tap.count if self._events is None else self._events
 
     def report(self) -> ContractReport:
         """Finalize (liveness phase included) and cache the report."""
         if self._report is None:
-            # The handlers count events on the monitor (the bank's own
+            # The tap numbers events for the monitor (the bank's own
             # count only ticks through feed(), the offline entry point).
             self._report = self._bank.report(
-                name=self.name, events=self._index
+                name=self.name, events=self.events
             )
         return self._report
 
     def __repr__(self) -> str:
-        return (f"<ContractMonitor {self.name!r} events={self._index} "
+        return (f"<ContractMonitor {self.name!r} events={self.events} "
                 f"contracts={len(self._bank.contracts)}>")
+
+
+def _fold_hook(codec, states: list, packet_ids: dict):
+    """One type's tap hook: build the fact, run the type's fused folds
+    (the bank's :meth:`~repro.contracts.dsl.CheckerBank.states_for`
+    list, the same one ``feed()`` looks up — the E19 hot path)."""
+    if len(states) == 1:
+        on_event = states[0].on_event
+
+        def hook(index: int, event: ev.Event) -> None:
+            on_event(EventFact(index, event, packet_ids, codec))
+    else:
+        def hook(index: int, event: ev.Event) -> None:
+            fact = EventFact(index, event, packet_ids, codec)
+            for state in states:
+                state.on_event(fact)
+    return hook

@@ -13,6 +13,10 @@ the +400 µs/RPC info blocks, the rejected packet monitor):
 * :mod:`repro.obs.metrics` — counters/gauges/histograms built as bus
   subscribers, backing the public ``ring.total_sent`` /
   ``rpc.calls_started``-style counters;
+* :mod:`repro.obs.recorder` — the per-bus ``StreamTap`` (the one
+  subscriber that numbers recorded events and rebases packet ids for
+  the recorder, the trace writer and the contract monitor) and the
+  per-type ``EventCodec`` that renders normalized lines;
 * :mod:`repro.obs.report` — the per-run summary table the benchmarks
   print instead of reaching into private attributes.
 

@@ -32,7 +32,7 @@ Subscriber = Callable[[Event], None]
 class Bus:
     """Per-event-type publish/subscribe with a dormant fast path."""
 
-    __slots__ = ("_subs", "_seq")
+    __slots__ = ("_subs", "_seq", "tap")
 
     def __init__(self) -> None:
         #: event type -> subscriber list.  Types with no subscribers are
@@ -40,6 +40,9 @@ class Bus:
         #: falsy check.
         self._subs: dict[Type[Event], list[Subscriber]] = {}
         self._seq = 0
+        #: The shared :class:`~repro.obs.recorder.StreamTap` recorders,
+        #: trace writers and contract monitors attach through.
+        self.tap = None
 
     # ------------------------------------------------------------------
     # Subscription
@@ -84,8 +87,11 @@ class Bus:
         Subscriber closures pin their layer objects (metrics, runtimes,
         recorders); clearing them breaks the reference cycles so a
         campaign worker churning through many worlds releases each one
-        promptly instead of waiting for the cycle collector.
+        promptly instead of waiting for the cycle collector.  The tap
+        drops its consumers' hooks for the same reason.
         """
+        if self.tap is not None:
+            self.tap.close()
         self._subs.clear()
 
     def subscriber_count(self, event_type: Type[Event]) -> int:

@@ -5,15 +5,19 @@ stream.  The raw events are not directly comparable across runs inside
 one process: ``BasicBlock.packet_id`` comes from a process-global
 counter, and the ``packet``/``process``/``error`` payload fields hold
 live objects whose ``repr`` embeds those ids (or memory addresses).
-One :class:`EventCodec` per event type (:func:`codec_for`) owns
-normalization: it reduces payload objects to their stable coordinates
-(a packet becomes ``src->dst:port/kind/size``, a process becomes its
-pid/name) and renders the stable text line and the structured fields in
-one pass, rebasing packet ids through a per-stream
-:class:`PayloadNormalizer` to first-seen order.
-:class:`EventStreamRecorder`, the trace writer in
-:mod:`repro.replay.trace` and the contract monitor's evidence lines all
-render through the same codecs, so their lines are byte-identical.
+
+One :class:`StreamTap` per bus is the only subscriber to the recorded
+event types (the :mod:`repro.obs.events` ``__all__`` catalogue).  It
+numbers events in delivery order and rebases packet ids to first-seen
+order as each event arrives, then hands ``(index, event)`` to per-type
+hooks registered by its consumers: :class:`EventStreamRecorder`, the
+trace writer in :mod:`repro.replay.trace` and the contract monitor in
+:mod:`repro.contracts.online`.  One :class:`EventCodec` per event type
+(:func:`codec_for`) reduces payload objects to their stable coordinates
+(a packet becomes ``src->dst:port/kind/size``, a process its pid/name)
+and renders the stable text line and the structured fields in one pass
+against the tap's packet-id map.  Consumers of one tap therefore agree
+on every index and every line by construction.
 
 Two identically seeded runs then compare with ``==`` on
 :meth:`EventStreamRecorder.lines`, or by :meth:`fingerprint`.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from typing import Iterable, Optional, Tuple, Type
+from typing import Iterable, Sequence, Tuple, Type
 
 from repro.obs import events as ev
 from repro.obs.bus import Bus
@@ -44,41 +48,17 @@ def _all_event_types() -> list[Type[ev.Event]]:
     ]
 
 
-class PayloadNormalizer:
-    """Rebases process-global packet ids to first-seen order.
-
-    One normalizer per recorded stream: the rebasing is first-seen order
-    *within that stream*, so two streams of the same seeded run
-    normalize identically even though the process-global ``packet_id``
-    counter kept climbing between them.
-    """
-
-    __slots__ = ("_packet_ids",)
-
-    def __init__(self) -> None:
-        #: packet_id -> rebased id, assigned in first-seen order.
-        self._packet_ids: dict[int, int] = {}
-
-    def rebase(self, packet_id: int) -> int:
-        rebased = self._packet_ids.get(packet_id)
-        if rebased is None:
-            rebased = len(self._packet_ids) + 1
-            self._packet_ids[packet_id] = rebased
-        return rebased
-
-
 class EventCodec:
     """The normalization of one event type, built once per type.
 
     ``fields`` is the payload field-name tuple in declaration order
     (header excluded).  :meth:`encode` renders an event's normalized
-    line and its JSON-ready structured fields in one pass;
-    :meth:`line` renders the line alone.  Both reduce live payload
-    objects the same way — a packet becomes ``pkt#N[src->dst:port/
-    kind/size]`` (``N`` rebased through the stream's
-    :class:`PayloadNormalizer`), a process its pid/name, an error its
-    ``Type:message`` — and everything else renders as ``repr`` in the
-    line and is stored as-is in the fields.
+    line and its structured payload values in one pass.  Live payload
+    objects are reduced — a packet becomes ``pkt#N[src->dst:port/
+    kind/size]`` (``N`` its first-seen id in the stream's packet-id
+    map), a process its pid/name, an error its ``Type:message`` — and
+    everything else renders as ``repr`` in the line and is kept as-is
+    in the values.
     """
 
     __slots__ = ("type_name", "fields", "_getter", "_special", "_template")
@@ -113,40 +93,27 @@ class EventCodec:
         )
 
     def encode(self, event: ev.Event,
-               normalizer: PayloadNormalizer) -> Tuple[str, dict]:
-        """``(line, fields)`` for one event, rebasing packet ids once."""
-        values = list(self._getter(event))
-        shown = self._reduce_special(values, normalizer)
+               packet_ids: dict) -> Tuple[str, Sequence]:
+        """``(line, values)``: the payload values in :attr:`fields`
+        order, live objects reduced (every packet id must already be in
+        ``packet_ids``: the tap rebases on delivery)."""
+        values = shown = self._getter(event)
+        if self._special:
+            values = list(values)
+            shown = list(values)
+            for i, kind in self._special:
+                if values[i] is not None:
+                    shown[i], values[i] = _reduce(kind, values[i],
+                                                  packet_ids)
         line = self._template.format(event.seq, event.time, event.node,
                                      *shown)
-        return line, dict(zip(self.fields, values))
-
-    def line(self, event: ev.Event, normalizer: PayloadNormalizer) -> str:
-        """The normalized one-line rendering of one event."""
-        shown = self._getter(event)
-        if self._special:
-            shown = self._reduce_special(list(shown), normalizer)
-        return self._template.format(event.seq, event.time, event.node,
-                                     *shown)
-
-    def _reduce_special(self, values: list,
-                        normalizer: PayloadNormalizer) -> list:
-        """Reduce the live payload objects in ``values`` to their
-        structured forms (in place) and return the values to show in
-        the line (``values`` itself when the type has none)."""
-        if not self._special:
-            return values
-        shown = list(values)
-        for i, kind in self._special:
-            if values[i] is not None:
-                shown[i], values[i] = _reduce(kind, values[i], normalizer)
-        return shown
+        return line, values
 
 
-def _reduce(kind: str, value, normalizer: PayloadNormalizer):
+def _reduce(kind: str, value, packet_ids: dict):
     """``(text, structured)`` stable forms of one live payload object."""
     if kind == "packet":
-        pkt = normalizer.rebase(value.packet_id)
+        pkt = packet_ids[value.packet_id]
         return (
             f"pkt#{pkt}[{value.src}->{value.dst}:{value.port}"
             f"/{value.kind}/{value.size_bytes}B]",
@@ -173,6 +140,109 @@ def codec_for(event_type: Type[ev.Event]) -> EventCodec:
     return codec
 
 
+#: The recorded-type catalogue a :class:`StreamTap` subscribes to.
+RECORDED_TYPES: tuple = tuple(_all_event_types())
+
+#: Recorded types carrying a live packet the tap rebases on delivery.
+_PACKET_TYPES = frozenset(
+    event_type for event_type in RECORDED_TYPES
+    if "packet" in codec_for(event_type).fields
+)
+
+
+class StreamTap:
+    """The one subscriber to a bus's recorded-type catalogue.
+
+    It numbers events in delivery order (:attr:`count` so far) and
+    rebases packet ids to first-seen order (:attr:`packet_ids`) as each
+    event arrives, then runs the per-type ``fn(index, event)`` hooks
+    its consumers registered with :meth:`attach`, in attach order.
+    Hooks must not emit recorded events.
+
+    :meth:`of` hands out the bus's shared tap, or a fresh one once that
+    tap has numbered events, so a late joiner's stream and rebasing
+    start at its own attach.  The tap subscribes on its first attach
+    and unsubscribes on its last detach, restoring the dormant path.
+    It holds each consumer's hook map until detach (or bus teardown),
+    so no consumer keeps a map of its own bound methods.
+    """
+
+    __slots__ = ("bus", "count", "packet_ids", "_consumers", "_hooks")
+
+    def __init__(self, bus: Bus):
+        self.bus = bus
+        self.count = 0
+        self.packet_ids: dict[int, int] = {}
+        #: consumer -> its {event type: hook} map, in attach order.
+        self._consumers: dict = {}
+        #: event type -> its hooks, in attach order.
+        self._hooks: dict = dict.fromkeys(RECORDED_TYPES, ())
+
+    @classmethod
+    def of(cls, bus: Bus) -> "StreamTap":
+        """The tap a consumer attaching to ``bus`` now should use."""
+        tap = bus.tap
+        if tap is None or tap.count:
+            tap = bus.tap = cls(bus)
+        return tap
+
+    def attach(self, consumer, hooks: dict) -> None:
+        """Run ``hooks`` (event type -> ``fn(index, event)``)."""
+        if not self._consumers:
+            for event_type in RECORDED_TYPES:
+                self.bus.subscribe(event_type, self._deliverer(event_type))
+        self._consumers[consumer] = hooks
+        self._index_hooks()
+
+    def detach(self, consumer) -> None:
+        """Drop ``consumer``'s hooks; the last detach unsubscribes."""
+        self._consumers.pop(consumer, None)
+        if self._consumers:
+            self._index_hooks()
+        else:
+            self.close()
+
+    def close(self) -> None:
+        """Drop every consumer and unsubscribe from the bus."""
+        for event_type in RECORDED_TYPES:
+            self.bus.unsubscribe(event_type, self._deliverer(event_type))
+        self._consumers.clear()
+        self._index_hooks()
+        if self.bus.tap is self:
+            self.bus.tap = None
+
+    def _index_hooks(self) -> None:
+        self._hooks = {
+            event_type: tuple(hooks[event_type]
+                              for hooks in self._consumers.values()
+                              if event_type in hooks)
+            for event_type in RECORDED_TYPES
+        }
+
+    def _deliverer(self, event_type):
+        return (self._on_packet_event if event_type in _PACKET_TYPES
+                else self._on_event)
+
+    def _on_event(self, event: ev.Event) -> None:
+        index = self.count
+        self.count = index + 1
+        for hook in self._hooks[type(event)]:
+            hook(index, event)
+
+    def _on_packet_event(self, event: ev.Event) -> None:
+        packet = event.packet
+        if packet is not None and packet.packet_id not in self.packet_ids:
+            self.packet_ids[packet.packet_id] = len(self.packet_ids) + 1
+        index = self.count
+        self.count = index + 1
+        for hook in self._hooks[type(event)]:
+            hook(index, event)
+
+    def __repr__(self) -> str:
+        return (f"<StreamTap events={self.count} "
+                f"consumers={len(self._consumers)}>")
+
+
 def stream_fingerprint(lines: Iterable[str]) -> str:
     """SHA-256 over a normalized stream (byte-identity check)."""
     digest = hashlib.sha256()
@@ -182,30 +252,33 @@ def stream_fingerprint(lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-class EventStreamRecorder:
-    """Subscribe to (all) obs event types and keep a normalized log."""
+def _line_hook(codec: EventCodec, packet_ids: dict, append):
+    encode = codec.encode
 
-    def __init__(
-        self,
-        bus: Bus,
-        event_types: Optional[Iterable[Type[ev.Event]]] = None,
-    ):
+    def hook(index: int, event: ev.Event) -> None:
+        append(encode(event, packet_ids)[0])
+    return hook
+
+
+class EventStreamRecorder:
+    """Keep the normalized log of a bus's recorded stream."""
+
+    def __init__(self, bus: Bus):
         self.bus = bus
-        self._types = list(event_types) if event_types is not None else _all_event_types()
         self._lines: list[str] = []
-        self._normalizer = PayloadNormalizer()
-        for event_type in self._types:
-            bus.subscribe(event_type, self._on_event)
+        # Lines are rendered at delivery: a recorder keeps strings, not
+        # the events (and the payload objects) behind them.
+        self._tap = StreamTap.of(bus)
+        packet_ids = self._tap.packet_ids
+        append = self._lines.append
+        self._tap.attach(self, {
+            event_type: _line_hook(codec_for(event_type), packet_ids, append)
+            for event_type in RECORDED_TYPES
+        })
 
     def detach(self) -> None:
-        for event_type in self._types:
-            self.bus.unsubscribe(event_type, self._on_event)
-
-    # ------------------------------------------------------------------
-
-    def _on_event(self, event: ev.Event) -> None:
-        self._lines.append(
-            codec_for(type(event)).line(event, self._normalizer))
+        """Stop recording (the log stays readable)."""
+        self._tap.detach(self)
 
     # ------------------------------------------------------------------
 

@@ -14,15 +14,16 @@ view, one JSON object per line (:meth:`Trace.load` sniffs the content;
   structured payload (packet ids rebased to first-seen order, processes
   reduced to pid/name) and the normalized text line — byte-identical to
   what :class:`~repro.obs.recorder.EventStreamRecorder` produces for the
-  same run, because both render through the event type's
-  :class:`~repro.obs.recorder.EventCodec`;
+  same run: both take their events, indices and packet ids from the
+  bus's :class:`~repro.obs.recorder.StreamTap` and render through the
+  event type's :class:`~repro.obs.recorder.EventCodec`;
 * **checkpoints** at their event indices (see
   :mod:`repro.replay.checkpoint`; the JSONL view interleaves them);
 * a **footer** — final virtual time, event count, stream fingerprint,
   and how the run was driven (``until=T`` / drained / manual), which is
   what tells a replayer how far to run.
 
-Checkpoints are captured *inside the bus subscriber* when an event
+Checkpoints are captured *inside the writer's tap hook* when an event
 crosses the cadence boundary — never via self-rescheduled world events,
 which would keep the queue from draining and perturb the conservative
 execution windows.  Capture is restricted to network/RPC events
@@ -39,8 +40,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.obs import events as ev
 from repro.obs.recorder import (
-    PayloadNormalizer,
-    _all_event_types,
+    RECORDED_TYPES,
+    StreamTap,
     codec_for,
     stream_fingerprint,
 )
@@ -337,18 +338,16 @@ class TraceWriter:
             "meta": meta or {},
         }
         self.events: list[TraceEvent] = []
-        #: Raw obs events captured during the run.  Materializing a
-        #: TraceEvent (normalizing payloads, rendering the line, JSON
-        #: round-trips) is deferred to :meth:`finish` — the recording
-        #: hot path is one list append, which is most of why record
-        #: overhead stays low (experiment E13).  Deferral is sound
-        #: because everything the normalizer reads (packet src/dst/
-        #: port/kind/size and first-seen order, process pid/name) is
-        #: immutable for the lifetime of the run.
+        #: Raw obs events captured during the run, in tap index order.
+        #: Rendering a TraceEvent is deferred to :meth:`finish` — the
+        #: recording hot path is one list append, which is most of why
+        #: record overhead stays low (experiment E13).  Deferral is
+        #: sound because everything the codec reads (packet src/dst/
+        #: port/kind/size, process pid/name, and the tap's first-seen
+        #: packet ids, assigned on delivery) is immutable for the
+        #: lifetime of the run.
         self._raw: list[ev.Event] = []
         self.checkpoints: list[Checkpoint] = []
-        self._normalizer = PayloadNormalizer()
-        self._types = _all_event_types()
         self._finished = False
         #: Metric values at attach; view counts are deltas against this,
         #: so fold-derived counts (which only see post-attach events)
@@ -360,8 +359,8 @@ class TraceWriter:
             if checkpoint_every is not None else None
         )
         self._checkpoint_pending = False
-        for event_type in self._types:
-            self.bus.subscribe(event_type, self._on_event)
+        self._tap = StreamTap.of(self.bus)
+        self._tap.attach(self, dict.fromkeys(RECORDED_TYPES, self._on_event))
         # Checkpoint #0: the state at attach.  Pre-attach history (the
         # agents' ProcessCreated, boot-time setup) rode the dormant path
         # and is not in the stream; every fold starts from this base.
@@ -377,7 +376,7 @@ class TraceWriter:
             view=capture_view(self.cluster, self._base_counts, time),
         ))
 
-    def _on_event(self, event: ev.Event) -> None:
+    def _on_event(self, index: int, event: ev.Event) -> None:
         self._raw.append(event)
         if self._next_checkpoint_at is None:
             return
@@ -392,9 +391,8 @@ class TraceWriter:
     # ------------------------------------------------------------------
 
     def detach(self) -> None:
-        """Stop observing the bus (idempotent via finish)."""
-        for event_type in self._types:
-            self.bus.unsubscribe(event_type, self._on_event)
+        """Stop observing the bus (idempotent)."""
+        self._tap.detach(self)
 
     def finish(self, drive: Optional[dict] = None) -> Trace:
         """Stop recording and seal the trace.
@@ -421,15 +419,16 @@ class TraceWriter:
 
     def _materialize(self) -> None:
         """Build the TraceEvents from the raw capture, in stream order
-        (the normalizer rebases packet ids by first-seen order, so the
-        deferred pass renders exactly what an inline pass would have)."""
-        normalizer = self._normalizer
+        (the tap assigned every packet id on delivery, so the deferred
+        pass renders exactly what an inline pass would have)."""
+        packet_ids = self._tap.packet_ids
         append = self.events.append
         for index, event in enumerate(self._raw):
             codec = codec_for(type(event))
-            line, fields = codec.encode(event, normalizer)
+            line, values = codec.encode(event, packet_ids)
             append(TraceEvent(index, codec.type_name, event.time,
-                              event.node, event.seq, fields, line))
+                              event.node, event.seq,
+                              dict(zip(codec.fields, values)), line))
         self._raw.clear()
 
     def __repr__(self) -> str:

@@ -379,3 +379,79 @@ def test_sigkill_coordinator_then_resume_is_byte_identical(tmp_path):
     assert restored == len(journaled)
     assert restored >= 3
     assert restored + executed == len(cells)
+
+
+_LONG_SCRIPT = """
+from repro.campaign import build_grid, get_plan, run_campaign
+
+plans = [(n, get_plan(n)) for n in ("calm", "crash")]
+run_campaign(build_grid(["echo"], list(range(2000)), plans), workers=2,
+             shrink=False)
+"""
+
+
+def _children_of(pid: int) -> list:
+    """Pids whose parent is ``pid`` (procfs scan)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the command name, which may itself hold ") ".
+        ppid = stat.rsplit(")", 1)[1].split()[1]
+        if int(ppid) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _exited(pid: int) -> bool:
+    """True once ``pid`` is gone or a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="finds the worker pids through procfs")
+def test_workers_exit_when_the_coordinator_is_sigkilled():
+    """A forked worker closes the coordinator-side pipe ends it
+    inherited, so a SIGKILLed coordinator's pipes hit EOF and its
+    workers exit instead of blocking in recv forever."""
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src_root)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LONG_SCRIPT], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers: list = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None, "the campaign ended before the kill"
+            workers = _children_of(proc.pid)
+            time.sleep(0.01)
+        assert len(workers) >= 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            if all(_exited(pid) for pid in workers):
+                break
+            time.sleep(0.01)
+        assert [pid for pid in workers if not _exited(pid)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

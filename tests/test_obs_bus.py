@@ -1,16 +1,24 @@
 """Tests for the repro.obs instrumentation bus, metrics, and its wiring."""
 
+import gc
+import weakref
 from dataclasses import dataclass
 from typing import Any, ClassVar, Optional
 
 import pytest
 
 from repro.cluster import Cluster
+from repro.contracts import UNIVERSAL_SET
+from repro.contracts.dsl import ALL_EVENTS, BaseChecker, EventContract
+from repro.contracts.online import ContractMonitor
 from repro.debugger import Pilgrim
 from repro.obs import Bus, Metrics, events as ev, install_default_metrics
+from repro.obs.recorder import RECORDED_TYPES, EventStreamRecorder
+from repro.replay import replay as replay_module
+from repro.replay.trace import TraceWriter
 from repro.rpc import PacketMonitor, remote_call
 from repro.rpc.monitor import MonitoredCall
-from repro.sim import World
+from repro.sim import MS, World
 
 
 # ----------------------------------------------------------------------
@@ -296,3 +304,141 @@ def test_packet_monitor_detach_stops_observation():
     bus = monitor.ring.world.bus
     bus.emit(ev.PacketSent, time=0, node=0, packet=None)
     assert monitor.calls == observed
+
+
+# ----------------------------------------------------------------------
+# The stream tap: one subscription, numbering and packet-id rebase per bus
+# ----------------------------------------------------------------------
+
+
+class _CiteEveryEvent(BaseChecker):
+    """Flags every event with its own line as evidence, so the monitor's
+    rendering of the whole stream can be compared line by line."""
+
+    NAME = "cite_every_event"
+
+    def on_event(self, fact) -> None:
+        self.violate(fact, "cited", evidence=(fact.line(),))
+
+
+CITE_EVERY_EVENT = EventContract(
+    name="cite_every_event", description="test-only: cite every event",
+    events=ALL_EVENTS, state=_CiteEveryEvent,
+)
+
+
+def _lossy_rpc_cluster() -> Cluster:
+    """Client/server RPCs with the first call packet dropped, so the
+    stream holds packets, a retransmission and a drop."""
+    cluster = Cluster(names=["client", "server"], seed=3)
+    cluster.rpc("server").export_native("svc", {"ping": lambda ctx: None})
+    dropped = []
+
+    def drop_first_call(packet):
+        if packet.kind == "rpc_call" and not dropped:
+            dropped.append(packet.packet_id)
+            return True
+        return False
+
+    cluster.ring.drop_filters.append(drop_first_call)
+
+    def caller(node):
+        for _ in range(4):
+            yield from remote_call(node.rpc, "svc", "ping")
+
+    node = cluster.node("client")
+    node.spawn(caller(node), name="caller")
+    return cluster
+
+
+def test_tap_is_the_one_subscriber_and_consumers_agree():
+    cluster = _lossy_rpc_cluster()
+    bus = cluster.world.bus
+    before = {t: bus.subscriber_count(t) for t in RECORDED_TYPES}
+    recorder = EventStreamRecorder(bus)
+    writer = TraceWriter(cluster)
+    monitor = ContractMonitor(bus, [CITE_EVERY_EVENT], emit=False)
+    for event_type in RECORDED_TYPES:
+        assert bus.subscriber_count(event_type) == before[event_type] + 1
+    cluster.run()
+    trace = writer.finish()
+    report = monitor.report()
+    assert any("pkt#" in line for line in trace.lines())
+    assert recorder.lines() == trace.lines()
+    assert monitor.events == len(trace.events) == len(report.violations)
+    for violation in report.violations:
+        assert violation.evidence == (trace.events[violation.index].line,)
+
+
+def test_last_detach_restores_the_dormant_path():
+    bus = Bus()
+    recorder = EventStreamRecorder(bus)
+    monitor = ContractMonitor(bus, UNIVERSAL_SET)
+    assert all(bus.has_subscribers(t) for t in RECORDED_TYPES)
+    recorder.detach()
+    assert all(bus.has_subscribers(t) for t in RECORDED_TYPES)
+    monitor.detach()
+    assert not any(bus.has_subscribers(t) for t in RECORDED_TYPES)
+    assert bus.tap is None
+
+
+def _late_recorder_lines(attach_early) -> list:
+    """``attach_early(bus)`` at the start, a recorder at 40 ms: the
+    late recorder's lines."""
+    cluster = _lossy_rpc_cluster()
+    attach_early(cluster.world.bus)
+    cluster.run(until=40 * MS)
+    late = EventStreamRecorder(cluster.world.bus)
+    cluster.run()
+    return late.lines()
+
+
+def test_late_joiner_gets_a_fresh_stream():
+    early: list = []
+    shared = _late_recorder_lines(
+        lambda bus: early.append(EventStreamRecorder(bus)))
+
+    def materialize(bus):
+        # The same events as the early recorder, but no tap behind them.
+        for event_type in RECORDED_TYPES:
+            bus.subscribe(event_type, lambda event: None)
+
+    alone = _late_recorder_lines(materialize)
+    assert shared == alone
+    assert 0 < len(shared) < len(early[0])
+    assert early[0].lines()[-len(shared):] != shared  # ids rebased afresh
+    assert "pkt#1[" in next(line for line in shared if "pkt#" in line)
+
+
+def _echo_build(cluster: Cluster) -> None:
+    cluster.rpc("server").export_native("svc", {"ping": lambda ctx: None})
+
+    def caller(node):
+        for _ in range(3):
+            yield from remote_call(node.rpc, "svc", "ping")
+
+    node = cluster.node("client")
+    node.spawn(caller(node), name="caller")
+
+
+def test_finished_writer_is_freed_without_the_cycle_collector(monkeypatch):
+    writers: list = []
+
+    class TrackedWriter(TraceWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            writers.append(weakref.ref(self))
+
+    monkeypatch.setattr(replay_module, "TraceWriter", TrackedWriter)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = replay_module.record_run(
+            _echo_build, ["client", "server"], seed=5,
+            contracts=UNIVERSAL_SET,
+        )
+        assert trace.events
+        del trace
+        assert writers and writers[0]() is None
+    finally:
+        gc.enable()

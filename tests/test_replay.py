@@ -78,7 +78,7 @@ def test_replay_is_byte_identical_under_chaos(seed):
 
 def test_trace_lines_match_event_stream_recorder():
     """The trace's normalized stream is byte-identical to what a plain
-    EventStreamRecorder sees of the same run (shared normalizer)."""
+    EventStreamRecorder sees of the same run (shared tap and codec)."""
     recorders = []
 
     def build(cluster):

@@ -2,14 +2,14 @@
 
 from repro.mayflower import Node
 from repro.params import Params
-from repro.ring import (
+from repro.net import (
     TRACE_DELIVERED,
     TRACE_DROPPED,
     TRACE_NACKED,
     TRACE_NO_HANDLER,
-    Ring,
-    RingTracer,
 )
+from repro.net import PacketTracer as RingTracer
+from repro.net import RingTransport as Ring
 from repro.sim import MS, World
 
 
