@@ -54,10 +54,10 @@ from repro.campaign.journal import CampaignJournal, cell_key
 from repro.campaign.report import CampaignReport
 from repro.campaign.scenarios import get_scenario
 from repro.campaign.shrink import shrink_cell
-from repro.cluster import Cluster
-from repro.faults.plan import FaultPlan, Nemesis
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import fleet_metrics
 from repro.obs.recorder import EventStreamRecorder, stream_fingerprint
+from repro.replay.replay import Recipe
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,19 @@ class CellSpec:
         if self.topology != "ring":
             base += f"@{self.topology}"
         return base
+
+    def recipe(self, plan: Optional[FaultPlan] = None,
+               until: Optional[int] = None) -> Recipe:
+        """The cell's :class:`~repro.replay.replay.Recipe`: its scenario's
+        nodes and horizon under the cell's seed, topology and plan
+        (``plan`` / ``until`` substitute a shrink candidate)."""
+        scenario = get_scenario(self.scenario)
+        return Recipe(
+            names=tuple(scenario.names), seed=self.seed,
+            topology=self.topology,
+            plan=self.plan if plan is None else plan,
+            until=scenario.run_until if until is None else until,
+        )
 
 
 def build_grid(
@@ -133,22 +146,13 @@ def run_cell(cell: CellSpec) -> dict:
     across worker counts.
     """
     scenario = get_scenario(cell.scenario)
-    cluster = Cluster(names=list(scenario.names), seed=cell.seed,
-                      topology=cell.topology)
+    recipe = cell.recipe()
+    cluster = recipe.cluster()
     recorder = EventStreamRecorder(cluster.world.bus)
-    monitor = None
-    if scenario.contracts.event_contracts():
-        # Event-backed contracts check online, exactly as an offline
-        # fold over a co-recorded trace would (repro.contracts).  Probe-
-        # only scenarios skip the monitor, so their streams — and hence
-        # their fingerprints — are untouched by the contract migration.
-        from repro.contracts.online import ContractMonitor
-
-        monitor = ContractMonitor(cluster.world.bus, scenario.contracts)
-    probes = scenario.build(cluster)
-    if cell.plan.actions:
-        Nemesis(cluster, cell.plan)
-    cluster.run(until=scenario.run_until)
+    # Event-backed contracts check online, exactly as an offline fold
+    # over a co-recorded trace would (repro.contracts).
+    monitor = scenario.monitor(cluster)
+    probes = recipe.run(cluster, scenario.build)
     report = scenario.report(cluster, probes, monitor=monitor)
     violations = report.messages()
     result = {

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.contracts.dsl import ContractSet, ProbeContract
+from repro.contracts.online import ContractMonitor
 from repro.contracts.report import merge_reports
 from repro.faults.plan import FaultPlan
 from repro.sim.units import MS, SEC
@@ -90,6 +91,17 @@ class Scenario:
         :meth:`report`.
         """
         return self.report(cluster, probes, trace=trace).messages()
+
+    def monitor(self, cluster):
+        """Attach an online monitor for this scenario's event contracts.
+
+        Returns ``None`` for probe-only sets, which attach nothing, so
+        their streams and campaign fingerprints do not depend on the
+        contract layer.
+        """
+        if not self.contracts.event_contracts():
+            return None
+        return ContractMonitor(cluster.world.bus, self.contracts)
 
     def report(self, cluster, probes, trace=None, monitor=None):
         """Full :class:`~repro.contracts.report.ContractReport`.

@@ -31,8 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.campaign.scenarios import get_scenario
-from repro.cluster import Cluster
-from repro.faults.plan import FaultPlan, Nemesis
+from repro.faults.plan import FaultPlan
 from repro.replay.replay import extract_verdict, record_run
 from repro.sim.units import MS
 
@@ -116,19 +115,10 @@ class _CellOracle:
     def report(self, plan: FaultPlan, run_until: Optional[int] = None):
         """Execute the cell under ``plan``; full contract report."""
         self.trials += 1
-        cluster = Cluster(names=list(self.scenario.names), seed=self.cell.seed,
-                          topology=self.cell.topology)
-        monitor = None
-        if self.scenario.contracts.event_contracts():
-            from repro.contracts.online import ContractMonitor
-
-            monitor = ContractMonitor(cluster.world.bus,
-                                      self.scenario.contracts)
-        probes = self.scenario.build(cluster)
-        if plan.actions:
-            Nemesis(cluster, plan)
-        cluster.run(until=run_until if run_until is not None
-                    else self.scenario.run_until)
+        recipe = self.cell.recipe(plan=plan, until=run_until)
+        cluster = recipe.cluster()
+        monitor = self.scenario.monitor(cluster)
+        probes = recipe.run(cluster, self.scenario.build)
         found = self.scenario.report(cluster, probes, monitor=monitor)
         cluster.close()
         return found

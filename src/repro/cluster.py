@@ -173,9 +173,11 @@ class Cluster:
         """Release the cluster (see :meth:`repro.sim.world.World.close`).
 
         Drops the event queue, bus subscriptions, node list, and program
-        table so a worker that builds thousands of short-lived clusters
-        (the campaign runner) frees each one promptly.  The cluster and
-        its world are unusable afterwards.
+        table, which a worker that builds thousands of short-lived
+        clusters (the campaign runner) calls after each one.  The
+        cluster and its world are unusable afterwards.  Cycles among the
+        world, the nodes and their processes remain, so the garbage
+        collector, not refcounting, frees them.
         """
         self.world.close()
         for node in self.nodes:

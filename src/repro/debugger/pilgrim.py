@@ -89,12 +89,11 @@ class Pilgrim:
         self._responses: dict[int, dict] = {}
         self._seq = itertools.count(1)
         #: Record/replay state (see repro.replay): the writer while a
-        #: recording is live, the sealed trace and its time-travel index
-        #: once one is loaded.
+        #: recording is live, the sealed trace and the post-mortem
+        #: session over it once one is loaded.
         self._trace_writer = None
         self.trace = None
-        self._timetravel = None
-        self._branch_tree = None
+        self._trace_session = None
         #: True while an API call is driving the simulation; arrival of a
         #: response/event then stops the run immediately so virtual time
         #: does not overshoot.
@@ -286,12 +285,6 @@ class Pilgrim:
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-
-    def pop_event(self) -> Optional[dict]:
-        """Dequeue the oldest pending agent event, if any."""
-        if self.events:
-            return self.events.pop(0)
-        return None
 
     def wait_for_event(
         self, event: Optional[str] = None, timeout: int = 10 * SEC
@@ -665,7 +658,7 @@ class Pilgrim:
             breakpoints=len(self.breakpoints),
             time=self.world.now,
             recording=self._trace_writer is not None,
-            trace_loaded=self._timetravel is not None,
+            trace_loaded=self._trace_session is not None,
             extra={
                 "reachability": dict(self.reachability),
                 "epochs": dict(self.node_epochs),
@@ -723,34 +716,35 @@ class Pilgrim:
         return trace
 
     def load_trace(self, trace) -> None:
-        """Attach a trace (object or path) for time-travel queries."""
-        from repro.replay.timetravel import TimeTravel
-        from repro.replay.trace import Trace
-        if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
-            trace = Trace.load(trace)
-        self.trace = trace
-        self._timetravel = TimeTravel(trace)
-        self._branch_tree = None
+        """Attach a trace (object or path) for post-mortem queries.
 
-    def _travel(self):
-        if self._timetravel is None:
+        The queries below delegate to a
+        :class:`~repro.replay.session.TraceSession` over it, the same
+        backend the session daemon serves trace sessions from.
+        """
+        from repro.replay.session import TraceSession
+        self._trace_session = TraceSession(trace)
+        self.trace = self._trace_session.trace
+
+    def _session(self):
+        if self._trace_session is None:
             raise DebuggerError(
                 "no trace loaded (record with start_recording/stop_recording "
                 "or attach one with load_trace)"
             )
-        return self._timetravel
+        return self._trace_session
 
     def at(self, t: int):
         """Time-travel: the recorded state at virtual time ``t``."""
-        return self._travel().at(t)
+        return self._session().at(t)
 
     def reverse_step(self):
         """Time-travel: step the cursor one event backwards."""
-        return self._travel().reverse_step()
+        return self._session().reverse_step()
 
     def forward_step(self):
         """Time-travel: step the cursor one event forwards."""
-        return self._travel().step()
+        return self._session().forward_step()
 
     def why_halted(self, node: Union[int, str, None] = None) -> dict:
         """Time-travel: explain the halt state at the cursor.
@@ -759,11 +753,11 @@ class Pilgrim:
         """
         if isinstance(node, str):
             node = self.cluster.node(node).node_id
-        return self._travel().why_halted(node)
+        return self._session().why_halted(node)
 
     def causal_predecessors(self, index: int):
         """Time-travel: the causal history of trace event ``index``."""
-        return self._travel().causal_predecessors(index)
+        return self._session().causal_predecessors(index)
 
     # ------------------------------------------------------------------
     # Contracts over the loaded trace (see repro.contracts)
@@ -779,12 +773,7 @@ class Pilgrim:
         from the shipped catalogue.  Returns the frozen
         :class:`~repro.contracts.report.ContractReport`.
         """
-        from repro.contracts.dsl import contracts_for_trace, resolve_contracts
-        from repro.contracts.offline import check_trace
-        self._travel()  # a trace must be loaded
-        resolved = (contracts_for_trace(self.trace) if contracts is None
-                    else resolve_contracts(contracts))
-        return check_trace(self.trace, resolved)
+        return self._session().check(contracts)
 
     def contracts(self) -> list:
         """The shipped contract catalogue (listing rows)."""
@@ -794,16 +783,6 @@ class Pilgrim:
     # ------------------------------------------------------------------
     # Branching time travel (see repro.replay.branch)
     # ------------------------------------------------------------------
-
-    def _branches(self):
-        from repro.contracts.dsl import contracts_for_trace
-        from repro.replay.branch import BranchTree
-        self._travel()  # a trace must be loaded
-        if self._branch_tree is None:
-            builder = (self.trace.header.get("meta") or {}).get("builder")
-            self._branch_tree = BranchTree(
-                self.trace, builder, contracts=contracts_for_trace(self.trace))
-        return self._branch_tree
 
     def fork(self, perturbation, checkpoint: int = 0,
              parent: Optional[str] = None, builder=None,
@@ -815,24 +794,24 @@ class Pilgrim:
         principle applied to whole executions).  ``builder`` names the
         scenario recipe (callable, ``"scenario:NAME"``, or
         ``"module:function"``); it may also ride in the trace header's
-        ``meta["builder"]``.  Interactive recordings cannot be forked
-        without ``run_until`` — the debugger's own request timing is
-        not in the trace.  Returns the branch's
+        ``meta["builder"]``.  Only ``record_run`` recordings can be
+        forked: an interactive recording (``start_recording``) is
+        refused with :class:`~repro.replay.replay.ReplayUnsupported`
+        whatever ``run_until`` says, because the debugger's own request
+        timing is not in the trace.  Returns the branch's
         :class:`~repro.replay.branch.BranchInfo`.
         """
-        tree = self._branches()
-        if builder is not None:
-            tree.build = builder
-        return tree.fork(perturbation, checkpoint=checkpoint, parent=parent,
-                         mode=mode, run_until=run_until).info()
+        return self._session().fork(
+            perturbation, checkpoint=checkpoint, parent=parent,
+            builder=builder, mode=mode, run_until=run_until)
 
     def branches(self):
         """List every branch forked off the loaded trace (root first)."""
-        return self._branches().branches()
+        return self._session().branches()
 
     def diff_branches(self, a: str, b: str):
         """Event-graph diff between two branches (id, prefix, or "root")."""
-        return self._branches().diff(a, b)
+        return self._session().diff_branches(a, b)
 
     # ------------------------------------------------------------------
     # Time conversion for shared servers (paper §6.1)

@@ -1,8 +1,8 @@
 """The ``REPRO_PROFILE=1`` profiling hook.
 
 Setting ``REPRO_PROFILE=1`` in the environment makes a recorded world
-run (``record_run`` / the campaign drivers) wrap the drive in
-:mod:`cProfile` and dump the raw stats next to the trace file as
+run (``record_run`` / the campaign drivers) wrap the scenario build
+and the drive in :mod:`cProfile` and dump the raw stats next to the trace file as
 ``<trace>.pstats``.  Inspect with::
 
     python -c "import pstats; \\

@@ -338,13 +338,6 @@ class Supervisor:
         process.halted_from = None
         return True
 
-    def halted_processes(self) -> list[Process]:
-        return [
-            process
-            for process in self.processes.values()
-            if process.state == ProcessState.HALTED
-        ]
-
     # ------------------------------------------------------------------
     # Debugger-initiated state transfer (paper §5.4)
     # ------------------------------------------------------------------

@@ -79,18 +79,9 @@ class Station:
         """Packets this station transmitted (from the metric series)."""
         return self.transport._sent.get(self.address)
 
-    @property
-    def packets_received(self) -> int:
-        """Packets delivered to this station (from the metric series)."""
-        return self.transport._delivered.get(self.address)
-
     def register_port(self, port: str, handler: PortHandler) -> None:
         """Attach a software handler for packets addressed to ``port``."""
         self._ports[port] = handler
-
-    def unregister_port(self, port: str) -> None:
-        """Detach the handler for ``port`` (missing ports are ignored)."""
-        self._ports.pop(port, None)
 
     def clear_ports(self) -> None:
         """Drop every software port handler (node crash/reboot cleanup)."""

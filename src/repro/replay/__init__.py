@@ -12,9 +12,11 @@ stream; this package turns that stream into a first-class artifact:
 * :mod:`repro.replay.checkpoint` — periodic :class:`Checkpoint`
   snapshots (state digests + folded :class:`StateView`) so seeking does
   not re-fold from t=0;
-* :mod:`repro.replay.replay` — :func:`record_run` / :class:`ReplayWorld`
-  re-execute a trace deterministically and assert byte-identical event
-  streams, reporting the first mismatching event on divergence;
+* :mod:`repro.replay.replay` — the :class:`Recipe` every execution of a
+  scenario follows (cluster, observers, build, plan, drive);
+  :func:`record_run` / :class:`ReplayWorld` record and re-execute it and
+  :func:`compare_lines` reports the first mismatching event on
+  divergence;
 * :mod:`repro.replay.timetravel` — :class:`TimeTravel` answers ``at(t)``,
   ``step`` / ``reverse_step``, ``why_halted`` and causal-predecessor
   queries (Lamport ordering over the trace);
@@ -44,14 +46,17 @@ from repro.replay.checkpoint import Checkpoint, StateView, capture_view, fold_vi
 from repro.replay.format import TraceFormatError, sniff_format
 from repro.replay.races import detect_races
 from repro.replay.replay import (
+    Recipe,
     ReplayDivergence,
     ReplayReport,
     ReplayUnsupported,
     ReplayWorld,
+    compare_lines,
     extract_verdict,
     record_run,
     replay_prefix,
     replay_trace,
+    reproduce,
 )
 from repro.replay.session import TraceSession
 from repro.replay.timetravel import Moment, TimeTravel
@@ -68,13 +73,16 @@ __all__ = [
     "StateView",
     "capture_view",
     "fold_view",
+    "Recipe",
     "ReplayDivergence",
     "ReplayReport",
     "ReplayUnsupported",
     "ReplayWorld",
+    "compare_lines",
     "record_run",
     "replay_trace",
     "replay_prefix",
+    "reproduce",
     "extract_verdict",
     "Moment",
     "TimeTravel",

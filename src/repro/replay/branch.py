@@ -40,14 +40,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from repro.debugger.api import Record
 from repro.debugger.errors import DebuggerError, register_error
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.replay.races import MessageRace
-from repro.replay.trace import Trace, TraceWriter
+from repro.replay.replay import Recipe, compare_lines
+from repro.replay.trace import Trace
 
 #: Perturbation kinds the REPL's ``fork`` command accepts — exactly the
 #: :class:`~repro.faults.plan.FaultPlan` builder methods.
@@ -280,28 +281,6 @@ def _resolve_checkpoint(parent: Trace, checkpoint_index: int):
         ) from None
 
 
-def _child_drive(parent: Trace, run_until: Optional[int]) -> dict:
-    """How the fork should be driven: the parent's mode, or an override.
-
-    Only re-executable recordings (``record_run`` traces, drive mode
-    ``until`` or ``drain``) can be forked: an interactively driven
-    session starts recording mid-run and its debugger interference is
-    not part of the fault plan, so no fresh execution can reproduce its
-    prefix.  ``run_until`` overrides *how far* the child runs, never
-    *whether* the parent is forkable.
-    """
-    from repro.replay.replay import ReplayUnsupported
-    drive = dict(parent.footer.get("drive") or {"mode": "manual"})
-    if drive.get("mode") not in ("until", "drain"):
-        raise ReplayUnsupported(
-            "trace was recorded from a manually driven session and cannot "
-            "be re-executed; record with record_run to make it forkable"
-        )
-    if run_until is not None:
-        return {"mode": "until", "until": run_until}
-    return drive
-
-
 def execute_fork(
     parent: Trace,
     build: Callable,
@@ -313,55 +292,30 @@ def execute_fork(
     """Re-execute the parent's recipe with the perturbation merged in.
 
     This is the in-process fork core (:func:`fork_trace` wraps it in a
-    separate process).  It rebuilds the cluster exactly as
-    :class:`~repro.replay.replay.ReplayWorld` would — same seed, names,
-    params, skews, topology, same build/plan/drive order — with one
-    difference: the fault plan is the recorded plan **merged** with the
-    perturbation's delta actions, all constrained to fire at or after
-    the fork checkpoint.  Determinism makes the child byte-identical to
-    the parent before the delta first fires (checked when
-    ``verify_prefix`` is set), so the sealed child trace *is* the
-    divergent future of that branch point.
+    separate process).  It runs the parent's
+    :class:`~repro.replay.replay.Recipe` with one change: the fault plan
+    is the recorded plan **merged** with the perturbation's delta
+    actions, all constrained to fire at or after the fork checkpoint.
+    Determinism makes the child byte-identical to the parent before the
+    delta first fires (checked when ``verify_prefix`` is set), so the
+    sealed child trace *is* the divergent future of that branch point.
     """
-    from repro.cluster import Cluster
-    from repro.faults.plan import Nemesis
-
     checkpoint = _resolve_checkpoint(parent, checkpoint_index)
     perturbation.validate(checkpoint.time)
-    drive = _child_drive(parent, run_until)
-
-    base = parent.fault_plan()
+    recipe = Recipe.of(parent, until=run_until)
     delta = FaultPlan(actions=list(perturbation.actions))
-    plans = [base, delta] if base is not None else [delta]
-    merged = FaultPlan.merge(plans)
-
-    header = parent.header
-    cluster = Cluster(
-        names=list(header["names"]),
-        seed=header["seed"],
-        params=parent.params(),
-        clock_skews=list(header["clock_skews"]),
-        topology=parent.topology,
-    )
-    writer = TraceWriter(
-        cluster,
-        plan=merged if merged.actions else None,
-        checkpoint_every=header.get("checkpoint_every"),
-        meta={
-            "branch_of": parent.fingerprint(),
-            "checkpoint": checkpoint_index,
-            "fork_time": checkpoint.time,
-            "perturbation": perturbation.to_dict(),
-        },
-    )
-    build(cluster)
-    if merged.actions:
-        Nemesis(cluster, merged)
-    if drive["mode"] == "until":
-        cluster.run(until=drive["until"])
-    else:
-        cluster.run()
-    child = writer.finish(drive=drive)
+    merged = FaultPlan.merge(
+        [recipe.plan, delta] if recipe.plan is not None else [delta])
+    recipe = replace(recipe, plan=merged if merged.actions else None)
+    cluster = recipe.cluster()
+    writer = recipe.writer(cluster, meta={
+        "branch_of": parent.fingerprint(),
+        "checkpoint": checkpoint_index,
+        "fork_time": checkpoint.time,
+        "perturbation": perturbation.to_dict(),
+    })
+    recipe.run(cluster, build)
+    child = writer.finish(drive=recipe.drive)
     if verify_prefix:
         _verify_prefix(parent, child, perturbation, checkpoint.time)
     return child
@@ -376,8 +330,6 @@ def _verify_prefix(parent: Trace, child: Trace,
     before the perturbation's first action is byte-identical across
     parent and child.
     """
-    from repro.replay.replay import ReplayDivergence
-
     cut = perturbation.first_at()
     if cut is None:
         cut = fork_time
@@ -388,15 +340,7 @@ def _verify_prefix(parent: Trace, child: Trace,
         if high >= cut:
             break
         boundary += 1
-    expected = parent.lines()[:boundary]
-    actual = child.lines()[:boundary]
-    for index, (want, got) in enumerate(zip(expected, actual)):
-        if want != got:
-            raise ReplayDivergence("event", index, want, got)
-    if len(actual) < len(expected):
-        raise ReplayDivergence(
-            "event", len(actual), expected[len(actual)], None
-        )
+    compare_lines(parent.lines(), child.lines(), upto=boundary)
 
 
 def _fork_worker(conn, parent: Trace, build: Callable, checkpoint_index: int,
@@ -406,7 +350,6 @@ def _fork_worker(conn, parent: Trace, build: Callable, checkpoint_index: int,
     try:
         child = execute_fork(parent, build, checkpoint_index, perturbation,
                              run_until=run_until, verify_prefix=verify_prefix)
-        child.profile = None
         conn.send(("ok", child))
     except BaseException as exc:  # relay, never hang the parent
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -440,15 +383,12 @@ def fork_trace(
     perturbation = as_perturbation(perturbation)
     checkpoint = _resolve_checkpoint(parent, checkpoint_index)
     perturbation.validate(checkpoint.time)
-    _child_drive(parent, run_until)
-    if mode == "inline":
-        return execute_fork(parent, build, checkpoint_index, perturbation,
-                            run_until=run_until, verify_prefix=verify_prefix)
-    if mode != "process":
+    Recipe.of(parent, until=run_until)
+    if mode not in ("process", "inline"):
         raise BranchError(f"unknown fork mode {mode!r} "
                           f"(known: process, inline)")
     import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if mode == "inline" or "fork" not in multiprocessing.get_all_start_methods():
         return execute_fork(parent, build, checkpoint_index, perturbation,
                             run_until=run_until, verify_prefix=verify_prefix)
     ctx = multiprocessing.get_context("fork")
@@ -837,8 +777,6 @@ def classify_races(tree: BranchTree, races: list,
     delay would fire before the fork checkpoint) are left unclassified
     (``harmful=None``).  Returns new race records in input order.
     """
-    import dataclasses
-
     from repro.contracts.dsl import UNIVERSAL_SET
     from repro.contracts.offline import check_trace
 
@@ -857,5 +795,5 @@ def classify_races(tree: BranchTree, races: list,
             baseline.get(name) != "fail" and verdict == "fail"
             for name, verdict in flipped.items()
         )
-        classified.append(dataclasses.replace(race, harmful=harmful))
+        classified.append(replace(race, harmful=harmful))
     return classified

@@ -3,17 +3,19 @@
 :class:`TraceSession` makes a sealed trace debuggable through the same
 typed session API as a live world: the time-travel operations (``at``,
 ``forward_step`` / ``reverse_step``, ``why_halted``,
-``causal_predecessors``) work exactly as on :class:`Pilgrim` with a
-loaded trace, ``processes`` reads the process table out of the folded
+``causal_predecessors``), ``check`` and the branch operations answer
+from the trace, ``processes`` reads the process table out of the folded
 :class:`~repro.replay.checkpoint.StateView` at the cursor, and the
 live-only operations (breakpoints, variable access) raise
 :class:`~repro.debugger.errors.UnsupportedOperationError` with the
 stable ``unsupported`` code — a remote client gets a typed refusal,
 never a stringified traceback.
 
-This is what the session daemon instantiates for ``kind="trace"``
-sessions and for corpus reproducers opened by name
-(:meth:`repro.campaign.corpus.Corpus.open_session`).
+This is what the session daemon instantiates for ``kind="trace"`` and
+``kind="branch"`` sessions and for corpus reproducers opened by name
+(:meth:`repro.campaign.corpus.Corpus.open_session`), and what
+:class:`~repro.debugger.pilgrim.Pilgrim` delegates its post-mortem
+queries to once a trace is loaded.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class TraceSession:
     """Read-only debugger session over one sealed trace.
 
     ``builder`` (a callable, ``"scenario:NAME"``, or
-    ``"module:function"``) names the scenario recipe; with it attached
+    ``"module:function"``; default: the trace header's
+    ``meta["builder"]``) names the scenario recipe; with it attached
     the session can also *fork* the recording into perturbed what-if
     branches (see :mod:`repro.replay.branch`) — still without ever
     touching the trace itself.
@@ -43,6 +46,8 @@ class TraceSession:
             trace = Trace.load(trace)
         self.trace = trace
         self.name = name or f"trace(seed={trace.header.get('seed')})"
+        if builder is None:
+            builder = (trace.header.get("meta") or {}).get("builder")
         self.builder = builder
         self._travel = TimeTravel(trace)
         self._branch_tree: Optional[BranchTree] = None

@@ -253,25 +253,6 @@ class TimeTravel:
             stack.extend(preds[current])
         return [self.events[i] for i in sorted(seen)]
 
-    # ------------------------------------------------------------------
-    # Lookup helpers
-    # ------------------------------------------------------------------
-
-    def find_packet(self, pkt: int) -> list[TraceEvent]:
-        """Events carrying rebased packet id ``pkt``, in trace order."""
-        return [
-            event for event in self.events
-            if isinstance(event.fields.get("packet"), dict)
-            and event.fields["packet"].get("pkt") == pkt
-        ]
-
-    def find_rpc(self, call_id: int) -> list[TraceEvent]:
-        """Events of RPC call ``call_id``, in trace order."""
-        return [
-            event for event in self.events
-            if event.fields.get("call_id") == call_id
-        ]
-
     def __repr__(self) -> str:
         return (
             f"<TimeTravel cursor={self.cursor}/{len(self.events)} "

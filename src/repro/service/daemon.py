@@ -115,24 +115,20 @@ def build_backend(kind: str, spec: dict) -> Any:
         # keeps the builder).
         import json as _json
 
-        from repro.replay.branch import BranchTree, as_perturbation
         from repro.replay.session import TraceSession
-        from repro.replay.trace import Trace
 
         perturbation = spec["perturbation"]
         if isinstance(perturbation, str):
             perturbation = _json.loads(perturbation)
-        builder = spec["builder"]
-        tree = BranchTree(Trace.load(spec["path"]), builder)
-        branch = tree.fork(
-            as_perturbation(perturbation),
+        parent = TraceSession(spec["path"], builder=spec["builder"])
+        branch = parent.fork(
+            perturbation,
             checkpoint=int(spec.get("checkpoint", 0)),
             mode=spec.get("mode", "process"),
             run_until=(int(spec["run_until"])
                        if spec.get("run_until") is not None else None),
         )
-        return TraceSession(branch.trace, name=f"branch:{branch.id[:12]}",
-                            builder=builder)
+        return parent.branch_session(branch.id)
     if kind == "corpus":
         from repro.campaign.corpus import Corpus
 

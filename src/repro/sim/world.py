@@ -257,9 +257,10 @@ class World:
         Cancels every queued event (dropping the closures and their
         captured node/runtime objects), empties the scheduling indexes,
         and clears the bus subscriptions.  The world is unusable
-        afterwards; campaign workers call this between grid cells so
-        each finished world is freed by refcounting alone instead of
-        lingering until a full cycle collection.
+        afterwards; campaign workers call this between grid cells.  It
+        does not break every reference cycle: the world, its nodes and
+        their processes still wait for the cycle collector (thousands
+        of objects per campaign cell).
         """
         if self._running:
             raise SimulationError("cannot close a running world")

@@ -4,7 +4,16 @@ import pytest
 
 from repro import MS, SEC, Cluster, FaultPlan, Pilgrim, Trace, record_run, replay_trace
 from repro.obs import EventStreamRecorder
-from repro.replay import ReplayDivergence, ReplayUnsupported, ReplayWorld, TimeTravel, detect_races
+from repro.replay import (
+    Perturbation,
+    ReplayDivergence,
+    ReplayUnsupported,
+    ReplayWorld,
+    TimeTravel,
+    detect_races,
+    fork_trace,
+    replay_prefix,
+)
 
 ECHO_SERVER = "proc echo(x: int) returns int\n  return x\nend"
 
@@ -105,15 +114,59 @@ def test_divergence_reports_first_mismatching_event():
 
 
 def test_manual_trace_refuses_re_execution():
-    cluster = Cluster(names=["app", "debugger"], seed=0)
+    """Replay, prefix replay and fork all refuse an interactive recording
+    with the typed error, whatever ``run_until`` says: the recording
+    started mid-run, so a fresh execution from t=0 cannot match it."""
+    cluster = Cluster(names=CHAOS_NAMES, seed=0)
+    build_chaos(cluster)
     dbg = Pilgrim(cluster, home="debugger")
-    writer = dbg.start_recording()
-    cluster.run_for(10 * MS)
+    cluster.run_for(5 * MS)
+    writer = dbg.start_recording(checkpoint_every=50 * MS)
+    cluster.run_for(300 * MS)
     trace = dbg.stop_recording()
     assert writer.header["seed"] == 0
     assert trace.footer["drive"] == {"mode": "manual"}
+    assert trace.checkpoints[0].time == 5 * MS
     with pytest.raises(ReplayUnsupported):
-        ReplayWorld(trace, lambda cluster: None).run()
+        ReplayWorld(trace, build_chaos).run()
+    with pytest.raises(ReplayUnsupported):
+        replay_trace(trace, build_chaos, run_until=trace.final_time)
+    with pytest.raises(ReplayUnsupported):
+        replay_prefix(trace, build_chaos, 0)
+    with pytest.raises(ReplayUnsupported):
+        fork_trace(trace, build_chaos, 0, Perturbation(kind="none"),
+                   mode="inline", run_until=SEC)
+
+
+# ----------------------------------------------------------------------
+# One recipe: cells, shrink trials, recordings and replays agree
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario_name, plan_name, topology", [
+    ("kv", "leader_partition", "ring"),
+    ("echo", "storm", "mesh"),
+])
+def test_one_recipe_one_stream(scenario_name, plan_name, topology):
+    from repro.campaign import build_grid, get_plan, get_scenario, run_cell
+    from repro.campaign.shrink import _CellOracle
+
+    cell = build_grid([scenario_name], [3], [(plan_name, get_plan(plan_name))],
+                      topologies=(topology,))[0]
+    scenario = get_scenario(scenario_name)
+
+    def record(plan):
+        return record_run(scenario.build, list(scenario.names), seed=cell.seed,
+                          plan=plan, run_until=scenario.run_until,
+                          topology=topology, contracts=scenario.contracts)
+
+    result = run_cell(cell)
+    trace = record(cell.plan)
+    assert result["fingerprint"] == trace.fingerprint()
+    assert replay_trace(trace, scenario.build).fingerprint == trace.fingerprint()
+    assert dict(_CellOracle(cell).report(cell.plan).verdicts) \
+        == result["contracts"]
+    assert record(FaultPlan()).lines() == record(None).lines()
 
 
 # ----------------------------------------------------------------------
