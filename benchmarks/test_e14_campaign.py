@@ -12,8 +12,10 @@ multi-core chaos testing):
   of core count, the canonical reports must be byte-identical across
   worker counts.
 * **Shrinker cost** — delta-debugging a 5-action storm plan down to its
-  single fatal crash: trials (cell re-executions), reductions, and host
-  time, plus the resulting horizon cut.  Acceptance: the minimal plan
+  single fatal crash: trials (candidate evaluations), executions
+  (clusters actually built — repeated trials are answered from memory,
+  and the two recordings are not trials), reductions, and host time,
+  plus the resulting horizon cut.  Acceptance: the minimal plan
   keeps <= 2 fault windows and the golden trace replays.
 """
 
@@ -86,7 +88,8 @@ def test_e14_campaign(benchmark):
                              f"{len(shrink.minimal_plan)}"],
             ["fault windows", shrink.minimal_plan.window_count()],
             ["horizon", f"{horizon_full} -> {shrink.horizon} us"],
-            ["trials (cell re-runs)", shrink.trials],
+            ["trials (candidate evaluations)", shrink.trials],
+            ["executions (clusters built)", shrink.executions],
             ["successful reductions", shrink.reductions],
             ["host time", f"{result['shrink_host_ms']:.0f} ms"],
         ],

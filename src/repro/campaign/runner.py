@@ -283,7 +283,8 @@ def run_campaign(
                 shrinks.append(journaled)
                 continue
             outcome = shrink_cell(
-                cell, out_dir=out_dir, checkpoint_every=checkpoint_every,
+                cell, result, out_dir=out_dir,
+                checkpoint_every=checkpoint_every,
             )
             outcome_dict = outcome.to_dict()
             if corpus is not None and outcome.trace is not None:

@@ -61,6 +61,10 @@ class ShrinkResult:
     horizon: int
     trials: int
     reductions: int
+    #: Clusters actually built: trials the oracle could not answer from
+    #: the cell result or an earlier trial, plus the two recordings.
+    #: Not part of :meth:`to_dict` (a host-side cost, like ``trace``).
+    executions: int = 0
     #: The contract the minimization targeted — the first one the
     #: original cell broke; every trial asked "does *this* still fail?".
     contract: Optional[str] = None
@@ -103,18 +107,39 @@ class _CellOracle:
     Once :attr:`contract` is set (the first contract the original cell
     broke), every :meth:`fails` trial asks specifically "does *that*
     contract still fail?" — so minimization cannot wander onto a plan
-    that breaks something easier."""
+    that breaks something easier.
+
+    Executions are deterministic, so answers are memoized by effective
+    ``(plan, horizon)``: :attr:`trials` counts candidate evaluations,
+    :attr:`executions` counts the clusters actually run, and a cell
+    result handed to :meth:`remember` answers the baseline without one.
+    """
 
     def __init__(self, cell: "CellSpec"):
         self.cell = cell
         self.scenario = get_scenario(cell.scenario)
         self.trials = 0
+        self.executions = 0
         #: Name of the contract minimization targets (set from baseline).
         self.contract: Optional[str] = None
+        #: (plan actions, horizon) -> (verdicts, violation messages).
+        self._answers: dict = {}
+
+    def _key(self, plan: FaultPlan, run_until: Optional[int]) -> tuple:
+        if run_until is None:
+            run_until = self.scenario.run_until
+        return tuple(plan.actions), run_until
+
+    def remember(self, plan: FaultPlan, result: dict) -> None:
+        """Record a :func:`~repro.campaign.runner.run_cell` result as the
+        answer for ``plan`` over the scenario's full horizon."""
+        self._answers[self._key(plan, None)] = (
+            dict(result["contracts"]), list(result["violations"]),
+        )
 
     def report(self, plan: FaultPlan, run_until: Optional[int] = None):
         """Execute the cell under ``plan``; full contract report."""
-        self.trials += 1
+        self.executions += 1
         recipe = self.cell.recipe(plan=plan, until=run_until)
         cluster = recipe.cluster()
         monitor = self.scenario.monitor(cluster)
@@ -123,18 +148,47 @@ class _CellOracle:
         cluster.close()
         return found
 
+    def record(self, plan: FaultPlan, run_until: int,
+               checkpoint_every: int, meta: Optional[dict] = None):
+        """Record the cell under ``plan`` up to ``run_until``."""
+        self.executions += 1
+        return record_run(
+            self.scenario.build,
+            list(self.scenario.names),
+            seed=self.cell.seed,
+            plan=plan,
+            checkpoint_every=checkpoint_every,
+            run_until=run_until,
+            topology=self.cell.topology,
+            meta=meta,
+        )
+
+    def outcome(self, plan: FaultPlan,
+                run_until: Optional[int] = None) -> tuple[dict, list]:
+        """One trial: ``(verdicts, violations)`` of the cell under
+        ``plan``, executed only if this oracle has not seen it yet."""
+        self.trials += 1
+        key = self._key(plan, run_until)
+        answer = self._answers.get(key)
+        if answer is None:
+            found = self.report(plan, run_until=run_until)
+            answer = self._answers[key] = (
+                dict(found.verdicts), found.messages(),
+            )
+        return answer
+
     def violations(self, plan: FaultPlan,
                    run_until: Optional[int] = None) -> list:
-        """Execute the cell under ``plan`` and return its violations."""
-        return self.report(plan, run_until=run_until).messages()
+        """The cell's violation messages under ``plan``."""
+        return list(self.outcome(plan, run_until=run_until)[1])
 
     def fails(self, plan: FaultPlan) -> bool:
         """Does the targeted contract (or, untargeted, anything) still
         fail under ``plan``?"""
-        report = self.report(plan)
+        verdicts = self.outcome(plan)[0]
         if self.contract is None:
-            return not report.ok
-        return report.verdicts.get(self.contract) == "fail"
+            return "fail" in verdicts.values()
+        return verdicts.get(self.contract) == "fail"
 
 
 def _ddmin(oracle: _CellOracle, plan: FaultPlan) -> tuple[FaultPlan, int]:
@@ -191,15 +245,7 @@ def _bisect_horizon(oracle: _CellOracle, plan: FaultPlan,
     "client never finished", which does not count as a reproduction).
     """
     scenario = oracle.scenario
-    trace = record_run(
-        scenario.build,
-        list(scenario.names),
-        seed=oracle.cell.seed,
-        plan=plan,
-        checkpoint_every=checkpoint_every,
-        run_until=scenario.run_until,
-        topology=oracle.cell.topology,
-    )
+    trace = oracle.record(plan, scenario.run_until, checkpoint_every)
     times = {cp.time for cp in trace.checkpoints if cp.time > 0}
     if trace.events:
         # The instant just after the last recorded event: checkpoints
@@ -222,10 +268,16 @@ def _bisect_horizon(oracle: _CellOracle, plan: FaultPlan,
 
 def shrink_cell(
     cell: "CellSpec",
+    result: Optional[dict] = None,
     out_dir: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
 ) -> ShrinkResult:
     """Minimize a failing cell to its smallest reproducing fault plan.
+
+    ``result`` is the cell's :func:`~repro.campaign.runner.run_cell`
+    result when the caller already has it (the campaign runner does);
+    its ``contracts`` and ``violations`` then answer the baseline trial
+    instead of a re-run.  The output is the same either way.
 
     Raises ``ValueError`` if the cell does not actually fail (the
     shrinker needs a reproducible failure to preserve).  Returns a
@@ -235,17 +287,21 @@ def shrink_cell(
     """
     checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
     oracle = _CellOracle(cell)
-    baseline = oracle.report(cell.plan)
-    if baseline.ok:
+    if result is not None:
+        oracle.remember(cell.plan, result)
+    verdicts, _ = oracle.outcome(cell.plan)
+    # Target the first contract the cell broke in the scenario's
+    # declaration order (a journaled result's verdicts come back
+    # key-sorted), so the minimal plan reproduces *that* violation.
+    oracle.contract = next(
+        (name for name in oracle.scenario.contracts.names()
+         if verdicts.get(name) == "fail"),
+        None,
+    )
+    if oracle.contract is None:
         raise ValueError(
             f"cell {cell.label()} passed; nothing to shrink"
         )
-    # Target the first contract the cell broke (declaration order), so
-    # the minimal plan reproduces *that* invariant violation.
-    oracle.contract = next(
-        name for name, verdict in baseline.verdicts.items()
-        if verdict == "fail"
-    )
     minimal, dropped = _ddmin(oracle, cell.plan)
     minimal, narrowed = _narrow_windows(oracle, minimal)
     target = oracle.violations(minimal)
@@ -253,27 +309,18 @@ def shrink_cell(
         oracle, minimal, target, checkpoint_every
     )
     # The golden artifact: the minimal plan over the minimal horizon.
-    trace = record_run(
-        oracle.scenario.build,
-        list(oracle.scenario.names),
-        seed=cell.seed,
-        plan=minimal,
-        checkpoint_every=checkpoint_every,
-        run_until=horizon,
-        topology=cell.topology,
-        meta={
-            "campaign": {
-                "scenario": cell.scenario,
-                "seed": cell.seed,
-                "plan_name": cell.plan_name,
-                "topology": cell.topology,
-                "cell_index": cell.index,
-            },
-            "violations": target,
-            "contract": oracle.contract,
+    trace = oracle.record(minimal, horizon, checkpoint_every, meta={
+        "campaign": {
+            "scenario": cell.scenario,
+            "seed": cell.seed,
+            "plan_name": cell.plan_name,
+            "topology": cell.topology,
+            "cell_index": cell.index,
         },
-    )
-    result = ShrinkResult(
+        "violations": target,
+        "contract": oracle.contract,
+    })
+    shrunk = ShrinkResult(
         index=cell.index,
         scenario=cell.scenario,
         seed=cell.seed,
@@ -285,6 +332,7 @@ def shrink_cell(
         contract=oracle.contract,
         horizon=horizon,
         trials=oracle.trials,
+        executions=oracle.executions,
         reductions=dropped + narrowed + tightened,
         trace_fingerprint=trace.fingerprint(),
         trace_verdict=extract_verdict(trace),
@@ -300,6 +348,6 @@ def shrink_cell(
         # sniffs the format, so hand-converted JSONL twins work too.
         path = directory / f"{stem}.min.trace.bin"
         trace.save(path)
-        result.trace_path = str(path)
-        result.repro_command = f"python -m repro.campaign repro {path}"
-    return result
+        shrunk.trace_path = str(path)
+        shrunk.repro_command = f"python -m repro.campaign repro {path}"
+    return shrunk

@@ -8,6 +8,7 @@ produced by the compiler and linker").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.cclu import ast
@@ -407,6 +408,14 @@ class ModuleCompiler:
         return program
 
 
+@lru_cache(maxsize=64)
 def compile_program(source: str, module_name: str = "main") -> Program:
-    """Compile CCLU source text into a linkable :class:`Program`."""
+    """Compile CCLU source text into a linkable :class:`Program`.
+
+    Memoized per ``(source, module_name)``: a :class:`Program` is the
+    immutable master copy and :meth:`Program.link` gives every node its
+    own code arrays, globals and console, so clusters built from the
+    same source share one compile.  A compile error is raised afresh on
+    every call (exceptions are not cached).
+    """
     return ModuleCompiler(source, module_name).compile()

@@ -60,8 +60,11 @@ class TimingWheel:
         self.bucket_bits = bucket_bits
         self.slots = 1 << slot_bits
         self.mask = self.slots - 1
-        #: One small ``(time, seq, handle)`` tuple-heap per slot.
-        self.buckets: list[list] = [[] for _ in range(self.slots)]
+        #: One small ``(time, seq, handle)`` tuple-heap per slot, made
+        #: on the slot's first push (``None`` until then): a world that
+        #: only ever touches a few hundred slots neither allocates nor
+        #: walks the rest.
+        self.buckets: list = [None] * self.slots
         #: Absolute bucket index (``time >> bucket_bits``) of the slot
         #: the next pop will look at first.  Monotonically increasing.
         self.cursor = 0
@@ -88,7 +91,12 @@ class TimingWheel:
         if rel >= self.slots:
             heappush(self.overflow, entry)
         else:
-            heappush(self.buckets[bucket & self.mask], entry)
+            slot = bucket & self.mask
+            heap = self.buckets[slot]
+            if heap is None:
+                self.buckets[slot] = [entry]
+            else:
+                heappush(heap, entry)
             self.occupied |= 1 << rel
         self.size += 1
 
@@ -107,7 +115,12 @@ class TimingWheel:
                 if offset < 0:
                     offset = 0
                     bucket = self.cursor
-                heappush(self.buckets[bucket & self.mask], entry)
+                slot = bucket & self.mask
+                heap = self.buckets[slot]
+                if heap is None:
+                    self.buckets[slot] = [entry]
+                else:
+                    heappush(heap, entry)
                 self.occupied |= 1 << offset
 
     def _seek(self) -> Optional[list]:
@@ -149,14 +162,13 @@ class TimingWheel:
 
     def __iter__(self) -> Iterator[tuple]:
         """Iterate every stored entry (order unspecified)."""
-        for bucket in self.buckets:
+        for bucket in filter(None, self.buckets):
             yield from bucket
         yield from self.overflow
 
     def rebuild(self, entries: list) -> None:
         """Replace the whole content with ``entries`` (compaction)."""
-        for bucket in self.buckets:
-            bucket.clear()
+        self.buckets = [None] * self.slots
         self.overflow.clear()
         self.occupied = 0
         self.size = 0

@@ -1,6 +1,8 @@
 """Campaign runner, shrinker, report determinism, and CLI smoke tests."""
 
+import gc
 import json
+from collections import Counter
 
 import pytest
 
@@ -234,6 +236,65 @@ def test_manual_cellspec_round_trips_through_shrinker():
                     plan_name="custom", plan=plan)
     result = shrink_cell(cell)
     assert [a.kind for a in result.minimal_plan.actions] == ["crash"]
+
+
+@pytest.mark.parametrize("scenario_name, plan_name", [
+    ("echo", "storm"),
+    ("kv", "leader_partition"),
+])
+def test_shrink_from_cell_result_runs_nothing_twice(monkeypatch,
+                                                    scenario_name, plan_name):
+    """The campaign hands its cell result to the shrinker: the output is
+    unchanged (also from a journaled, key-sorted result), the baseline
+    is not re-run, and no execution repeats."""
+    from repro.replay.replay import Recipe
+
+    cell = build_grid([scenario_name], [3],
+                      [(plan_name, get_plan(plan_name))])[0]
+    result = run_cell(cell)
+    journaled = json.loads(json.dumps(result, sort_keys=True))
+    unseeded = shrink_cell(cell)
+    expected = unseeded.to_dict()
+
+    runs = Counter()
+    cluster = Recipe.cluster
+
+    def counting(recipe):
+        runs[(tuple(recipe.plan.actions), recipe.until,
+              recipe.checkpoint_every)] += 1
+        return cluster(recipe)
+
+    monkeypatch.setattr(Recipe, "cluster", counting)
+    shrunk = shrink_cell(cell, result)
+    assert shrunk.to_dict() == expected
+    horizon = get_scenario(scenario_name).run_until
+    baseline = (tuple(cell.plan.actions), horizon, None)
+    assert runs[baseline] == 0
+    assert max(runs.values()) == 1
+    # Trials count candidate evaluations, executions count clusters;
+    # only the baseline tells the seeded and unseeded shrinks apart.
+    assert shrunk.executions == sum(runs.values())
+    assert unseeded.executions == shrunk.executions + 1
+    assert shrunk.trials == unseeded.trials
+    runs.clear()
+    assert shrink_cell(cell, journaled).to_dict() == expected
+    assert runs[baseline] == 0 and max(runs.values()) == 1
+
+
+def test_finished_cell_leaves_little_cyclic_garbage():
+    """A closed cell's world is mostly freed by reference counting; the
+    wheel no longer leaves thousands of empty slot lists behind."""
+    cell = build_grid(["kv"], [1], [("leader_partition",
+                                     get_plan("leader_partition"))])[0]
+    run_cell(cell)  # warm imports and the compile cache
+    gc.collect()
+    gc.disable()
+    try:
+        run_cell(cell)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed < 2000
 
 
 # ----------------------------------------------------------------------

@@ -206,3 +206,66 @@ def test_duplicate_procedure_rejected():
 def test_parse_error_reports_line():
     with pytest.raises(CluCompileError, match="line 3"):
         compile_program("proc main()\n  var x: int := 1\n  var y int\nend")
+
+
+# ----------------------------------------------------------------------
+# The per-process compile cache
+# ----------------------------------------------------------------------
+
+_SHARED_SOURCE = """
+var total: int := 0
+proc main()
+  for i := 1 to 10 do
+    total := total + i
+    sleep(100000)
+  end
+  print total
+end
+"""
+
+
+def test_identical_source_compiles_once():
+    program = compile_program(_SHARED_SOURCE, "shared")
+    assert compile_program(_SHARED_SOURCE, "shared") is program
+    assert compile_program(_SHARED_SOURCE, "other") is not program
+    assert compile_program(_SHARED_SOURCE + "\n", "shared") is not program
+
+
+def test_cached_program_links_independent_images():
+    """Two clusters share one master program; breakpoint patches,
+    globals and consoles stay per image."""
+    from repro import MS, SEC, Cluster, Pilgrim
+    from repro.cvm import instructions as ops
+
+    def traps(functions):
+        return [instr.op for func in functions.values()
+                for instr in func.code].count(ops.TRAP)
+
+    clusters = [Cluster(names=["app", "debugger"]) for _ in range(2)]
+    images = [cluster.load_program(_SHARED_SOURCE, "app", module="shared")
+              for cluster in clusters]
+    assert images[0].program is images[1].program
+    for cluster, image in zip(clusters, images):
+        cluster.spawn_vm("app", image, "main")
+        cluster.run_for(2 * MS)
+    dbg = Pilgrim(clusters[0], home="debugger")
+    dbg.connect("app")
+    dbg.set_breakpoint("app", "shared", line=5)
+    dbg.wait_for_breakpoint()
+    assert traps(images[0].functions) == 1
+    assert traps(images[1].functions) == 0
+    assert traps(images[0].program.functions) == 0
+    clusters[1].run_for(2 * SEC)
+    assert images[1].globals["total"] == 55
+    assert images[1].console == ["55"]
+    assert images[0].globals["total"] < 55 and images[0].console == []
+    assert images[0].program.globals_init == {"total": 0}
+    for cluster in clusters:
+        cluster.close()
+
+
+def test_compile_errors_are_not_cached():
+    source = "proc main()\n  y := 1\nend"
+    for _ in range(2):
+        with pytest.raises(CluCompileError, match="undeclared"):
+            compile_program(source, "broken")

@@ -80,6 +80,23 @@ class TestTimingWheel:
         wheel.clear()
         assert len(wheel) == 0 and wheel.pop() is None
 
+    def test_slots_allocate_on_first_push(self):
+        wheel = TimingWheel()  # 512 us buckets x 4096 slots
+        assert wheel.buckets.count(None) == wheel.slots
+        entries = [_entry(t, seq)
+                   for seq, t in enumerate((10, 20, 600, 1_000_000))]
+        for entry in entries:
+            wheel.push(entry)
+        # 10 and 20 share bucket 0; 600 and 1 s land in two more.
+        assert wheel.slots - wheel.buckets.count(None) == 3
+        assert sorted(wheel) == sorted(entries)
+        wheel.rebuild([entries[2]])
+        assert wheel.slots - wheel.buckets.count(None) == 1
+        assert list(wheel) == [entries[2]]
+        wheel.clear()
+        assert wheel.buckets.count(None) == wheel.slots
+        assert list(wheel) == [] and wheel.pop() is None
+
 
 # ----------------------------------------------------------------------
 # Behavioral identity: EventCore vs HeapEventCore
@@ -134,6 +151,48 @@ def test_cores_pop_identically_under_random_churn():
         if popped[0] is None:
             break
     assert cores[0].peek_next_time() == cores[1].peek_next_time() == FOREVER
+
+
+def test_cores_agree_through_sweeps_and_clear():
+    """Sweeps (a rebuild over the wheel's sparse ``__iter__``) and
+    ``clear`` keep the heap core's total order and stored handles."""
+    rng = random.Random(15)
+    cores = (make_core("wheel"), make_core("heap"))
+    floor = 0
+    for round_ in range(6):
+        handles = [[], []]
+        for _ in range(400):
+            delay = rng.choice((rng.randrange(0, 2000),
+                                rng.randrange(0, 5_000_000)))
+            node = rng.choice((None, 0, 1, 2))
+            for side, core in enumerate(cores):
+                handles[side].append(core.schedule_at(
+                    floor + delay, _noop, (), node=node))
+        # Tombstones outgrow the live set, so the wheel core sweeps.
+        for index in rng.sample(range(400), 300):
+            for side in (0, 1):
+                handles[side][index].cancel()
+        assert _stored_bound_holds(cores[0])
+        stored = [sorted((h.time, h.seq) for h in core.iter_handles()
+                         if not h.cancelled) for core in cores]
+        assert stored[0] == stored[1]
+        for _ in range(50):
+            popped = [core.pop_next() for core in cores]
+            keys = [(h.time, h.seq, h.node) if h else None for h in popped]
+            assert keys[0] == keys[1]
+            if popped[0] is None:
+                break
+            floor = popped[0].time
+        if round_ % 3 == 2:
+            for core in cores:
+                core.clear()
+            assert list(cores[0].iter_handles()) == []
+    while True:
+        popped = [core.pop_next() for core in cores]
+        keys = [(h.time, h.seq, h.node) if h else None for h in popped]
+        assert keys[0] == keys[1]
+        if popped[0] is None:
+            break
 
 
 def test_cores_agree_on_mass_cancel_and_survivors():
